@@ -609,12 +609,21 @@ fn parse_snapshot(json: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(cases)
 }
 
+/// True for cases whose value is a rate (`*_per_sec`), where higher is
+/// better; every other case is a time or a count, where lower is better.
+fn higher_is_better(case: &str) -> bool {
+    case.ends_with("_per_sec")
+}
+
 /// Compares the `current` snapshot against `baseline` under a regression
-/// `tolerance` (a current mean more than `tolerance ×` its baseline is a
-/// regression). Only cases present in both snapshots are compared, so
-/// snapshots may add cases freely across PRs. Returns the rendered table
-/// as `Ok` when every shared case is within tolerance and as `Err` when
-/// any regressed — the CI smoke gate on committed snapshots.
+/// `tolerance`. A lower-is-better case regresses when its current value
+/// exceeds `tolerance ×` its baseline; a higher-is-better `*_per_sec`
+/// case regresses when its current value falls below its baseline
+/// `÷ tolerance`. The printed ratio is always current ÷ baseline. Only
+/// cases present in both snapshots are compared, so snapshots may add
+/// cases freely across PRs. Returns the rendered table as `Ok` when every
+/// shared case is within tolerance and as `Err` when any regressed — the
+/// CI smoke gate on committed snapshots.
 ///
 /// # Errors
 /// Returns `Err` with the report when a shared case regressed, or with a
@@ -642,10 +651,16 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
         };
         compared += 1;
         let ratio = cur_ns / base_ns.max(1e-9);
-        let status = if ratio > tolerance {
+        // Slowdown factor: > 1 means the case got worse.
+        let worse = if higher_is_better(name) {
+            1.0 / ratio.max(1e-12)
+        } else {
+            ratio
+        };
+        let status = if worse > tolerance {
             regressed += 1;
             "REGRESSED"
-        } else if ratio < 1.0 {
+        } else if worse < 1.0 {
             "improved"
         } else {
             "ok"
@@ -762,5 +777,38 @@ mod tests {
         assert!(ok.contains("dropped"));
         // Malformed input is a parse error, not a panic.
         assert!(bench_diff("{}", current, 3.0).is_err());
+    }
+
+    #[test]
+    fn bench_diff_fails_on_a_throughput_collapse() {
+        let baseline = "{\n  \"collector/sustained_rounds_per_sec\": 30000.0,\n  \"collector/round_ns\": 33000.0\n}\n";
+        // Rounds per second fell 4x; the time case is unchanged.
+        let current = "{\n  \"collector/sustained_rounds_per_sec\": 7500.0,\n  \"collector/round_ns\": 33000.0\n}\n";
+        let err = bench_diff(baseline, current, 3.0).expect_err("throughput fell past 3x");
+        let line = err
+            .lines()
+            .find(|l| l.starts_with("collector/sustained_rounds_per_sec"))
+            .unwrap();
+        assert!(line.ends_with("REGRESSED"), "{line}");
+        assert!(err.contains("1 regressed"));
+        // A 2x fall is within a 3x tolerance but is not an improvement.
+        let current = "{\n  \"collector/sustained_rounds_per_sec\": 15000.0\n}\n";
+        let ok = bench_diff(baseline, current, 3.0).expect("within 3x");
+        assert!(!ok.contains("improved"), "{ok}");
+        assert!(ok.contains("0 regressed"));
+    }
+
+    #[test]
+    fn bench_diff_passes_a_throughput_gain() {
+        let baseline = "{\n  \"collector/sustained_rounds_per_sec\": 30000.0\n}\n";
+        // Rounds per second rose 3.5x: past the tolerance, but a gain.
+        let current = "{\n  \"collector/sustained_rounds_per_sec\": 105000.0\n}\n";
+        let ok = bench_diff(baseline, current, 3.0).expect("a gain never regresses");
+        let line = ok
+            .lines()
+            .find(|l| l.starts_with("collector/sustained_rounds_per_sec"))
+            .unwrap();
+        assert!(line.ends_with("improved"), "{line}");
+        assert!(ok.contains("0 regressed"));
     }
 }

@@ -3,8 +3,8 @@
 //! The evaluation section of the paper reports SSE (sum of squared errors,
 //! Fig. 4/5), Euclidean centroid distance (Fig. 4/5) and MSE (Fig. 9). These
 //! helpers implement those metrics plus the usual moments. [`OnlineStats`]
-//! is a Welford accumulator so round-wise collectors can track data quality
-//! without buffering values.
+//! is a mergeable moments accumulator so round-wise collectors can track
+//! data quality without buffering values.
 
 /// Arithmetic mean of a slice. Returns `0.0` for an empty slice.
 #[must_use]
@@ -118,7 +118,19 @@ pub fn max(xs: &[f64]) -> Option<f64> {
         })
 }
 
-/// Numerically stable streaming moments (Welford's algorithm).
+/// Independent accumulators per pass of [`OnlineStats::extend`]: enough
+/// to hide the floating-point add latency and fill the vector units.
+const MOMENT_LANES: usize = 8;
+
+/// Sums the lanes as a fixed pairwise tree, so the result does not depend
+/// on how the compiler schedules the lanes.
+fn fold_lanes(l: [f64; MOMENT_LANES]) -> f64 {
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+/// Numerically stable streaming moments: Welford's update per
+/// [`OnlineStats::push`], a batched two-pass update per
+/// [`OnlineStats::extend`], and the parallel merge of the two.
 ///
 /// Used by the collector to keep per-round quality statistics without
 /// retaining raw values, mirroring the "public board" which records only
@@ -161,10 +173,61 @@ impl OnlineStats {
     }
 
     /// Feeds every value of a slice.
+    ///
+    /// Equivalent to a loop of [`OnlineStats::push`] up to rounding: the
+    /// slice's moments are computed in two passes — the sum (hence the
+    /// mean), then `Σ(x − mean)²`, `min` and `max` — each over eight
+    /// independent accumulators combined in a fixed order, so the result
+    /// is deterministic and the passes pipeline instead of serializing on
+    /// Welford's `sub → div → add` chain. The batch is then folded into
+    /// `self` with [`OnlineStats::merge`]. Any NaN or ±∞ input makes the
+    /// mean and `m2` non-finite, as with `push`; `min`/`max` skip NaNs, as
+    /// with `push`.
     pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
+        if xs.is_empty() {
+            return;
         }
+        let chunks = xs.chunks_exact(MOMENT_LANES);
+        let tail = chunks.remainder();
+
+        let mut sum = [0.0; MOMENT_LANES];
+        for chunk in chunks.clone() {
+            for (s, &x) in sum.iter_mut().zip(chunk) {
+                *s += x;
+            }
+        }
+        for (s, &x) in sum.iter_mut().zip(tail) {
+            *s += x;
+        }
+        let mean = fold_lanes(sum) / xs.len() as f64;
+
+        let mut m2 = [0.0; MOMENT_LANES];
+        let mut lo = [f64::INFINITY; MOMENT_LANES];
+        let mut hi = [f64::NEG_INFINITY; MOMENT_LANES];
+        let mut accumulate = |lane: usize, x: f64| {
+            let d = x - mean;
+            m2[lane] += d * d;
+            lo[lane] = if x < lo[lane] { x } else { lo[lane] };
+            hi[lane] = if x > hi[lane] { x } else { hi[lane] };
+        };
+        for chunk in chunks {
+            let chunk: &[f64; MOMENT_LANES] = chunk.try_into().expect("exact chunk");
+            for (lane, &x) in chunk.iter().enumerate() {
+                accumulate(lane, x);
+            }
+        }
+        for (lane, &x) in tail.iter().enumerate() {
+            accumulate(lane, x);
+        }
+
+        let batch = Self {
+            n: xs.len() as u64,
+            mean,
+            m2: fold_lanes(m2),
+            min: lo.into_iter().fold(f64::INFINITY, f64::min),
+            max: hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
+        };
+        self.merge(&batch);
     }
 
     /// Number of observations so far.
@@ -384,6 +447,73 @@ mod tests {
         assert_eq!(min, f64::INFINITY);
         assert_eq!(max, f64::NEG_INFINITY);
         assert_eq!(OnlineStats::from_raw_parts(n, mean, m2, min, max), empty);
+    }
+
+    fn pushed(xs: &[f64]) -> OnlineStats {
+        let mut acc = OnlineStats::new();
+        for &x in xs {
+            acc.push(x);
+        }
+        acc
+    }
+
+    #[test]
+    fn extend_with_empty_slice_is_a_no_op() {
+        let mut empty = OnlineStats::new();
+        empty.extend(&[]);
+        assert_eq!(empty.raw_parts(), OnlineStats::new().raw_parts());
+
+        let mut acc = pushed(&[0.3, -1.2, 4.5]);
+        let before = acc.raw_parts();
+        acc.extend(&[]);
+        assert_eq!(acc.raw_parts(), before);
+    }
+
+    #[test]
+    fn extend_onto_non_empty_equals_merge_of_the_batch() {
+        // 19 values: two full lane chunks plus a tail.
+        let xs: Vec<f64> = (0..19).map(|i| (f64::from(i) * 0.37).sin() * 5.0).collect();
+        let mut extended = pushed(&[2.5, -0.5, 7.0]);
+        let mut merged = extended;
+        extended.extend(&xs);
+
+        let mut batch = OnlineStats::new();
+        batch.extend(&xs);
+        merged.merge(&batch);
+        assert_eq!(extended.raw_parts(), merged.raw_parts());
+        // And it matches the push loop over the concatenation.
+        let mut all = vec![2.5, -0.5, 7.0];
+        all.extend_from_slice(&xs);
+        let reference = pushed(&all);
+        assert_eq!(extended.count(), reference.count());
+        assert!((extended.mean() - reference.mean()).abs() < 1e-12);
+        assert!((extended.variance() - reference.variance()).abs() < 1e-12);
+        assert_eq!(extended.min(), reference.min());
+        assert_eq!(extended.max(), reference.max());
+    }
+
+    #[test]
+    fn non_finite_input_poisons_mean_and_m2_on_both_paths() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // The bad value in a full lane chunk, in the tail, and alone.
+            for at in [0, 3, 9, 10] {
+                let mut xs: Vec<f64> = (0..11).map(f64::from).collect();
+                xs[at] = bad;
+                for input in [&xs[..], &xs[at..=at]] {
+                    let mut extended = OnlineStats::new();
+                    extended.extend(input);
+                    let pushed = pushed(input);
+                    for acc in [extended, pushed] {
+                        let (n, mean, m2, _, _) = acc.raw_parts();
+                        assert_eq!(n, input.len() as u64);
+                        assert!(!mean.is_finite(), "{bad} at {at}: mean {mean}");
+                        assert!(!m2.is_finite(), "{bad} at {at}: m2 {m2}");
+                    }
+                    assert_eq!(extended.min(), pushed.min());
+                    assert_eq!(extended.max(), pushed.max());
+                }
+            }
+        }
     }
 
     #[test]

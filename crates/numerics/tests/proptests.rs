@@ -94,6 +94,33 @@ proptest! {
     }
 
     #[test]
+    fn online_stats_extend_matches_push_loop(
+        data in prop::collection::vec(-1e6_f64..1e6_f64, 0..1200),
+        offset in 0_usize..3,
+    ) {
+        // A constant offset puts the mean far from zero relative to the
+        // spread, the case where the two algorithms round differently.
+        let offset = [0.0, 1e3, -1e5][offset];
+        let data: Vec<f64> = data.iter().map(|x| x + offset).collect();
+        let mut extended = OnlineStats::new();
+        extended.extend(&data);
+        let mut pushed = OnlineStats::new();
+        for &x in &data {
+            pushed.push(x);
+        }
+        prop_assert_eq!(extended.count(), pushed.count());
+        prop_assert!(extended.min() == pushed.min());
+        prop_assert!(extended.max() == pushed.max());
+        // The mean's rounding error scales with the data, not with the
+        // mean, which may sit near zero: compare relative to max |x|.
+        let scale = data.iter().fold(1.0_f64, |m, x| m.max(x.abs()));
+        let (em, pm) = (extended.mean(), pushed.mean());
+        prop_assert!((em - pm).abs() <= 1e-12 * scale, "mean {em} vs {pm}");
+        let (ev, pv) = (extended.variance(), pushed.variance());
+        prop_assert!((ev - pv).abs() <= 1e-12 * pv.max(1.0), "variance {ev} vs {pv}");
+    }
+
+    #[test]
     fn online_stats_merge_is_associative_enough(a in finite_vec(64), b in finite_vec(64)) {
         let mut left = OnlineStats::new();
         left.extend(&a);

@@ -5,8 +5,20 @@
 //! event is *counted*, so the bench harness can report how often the
 //! pipeline ran hot), and the consumer drains in batches to amortize
 //! lock traffic. The implementation is a deliberately small
-//! Mutex+Condvar ring — no external channel crates — sized so the
-//! per-record cost is one short critical section in the common case.
+//! Mutex+Condvar ring — no external channel crates.
+//!
+//! **Wake rule.** A condvar notify is a syscall even when nobody waits,
+//! and the collector's ingest worker never parks: it polls
+//! [`Receiver::try_recv_batch`] and yields. So the mutex guards the
+//! queue *and* two counters, `recv_waiting` and `send_waiting`, that a
+//! blocking call increments right before `Condvar::wait` and decrements
+//! right after. `send`, `recv` and `try_recv_batch` read the matching
+//! counter under the lock and notify only when it is non-zero. A waiter
+//! registers under the same lock it releases atomically in `wait`, so
+//! any later queue change sees it and no wakeup is lost. The common case
+//! — nobody parked — costs one short critical section per call and no
+//! syscall. The disconnect paths (the last [`Sender`] or the
+//! [`Receiver`] dropping) notify unconditionally.
 //!
 //! Semantics:
 //!
@@ -35,11 +47,23 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
+/// Everything the channel mutex guards: the ring and the number of
+/// threads parked on each condvar.
+struct State<T> {
+    queue: VecDeque<T>,
+    /// Threads parked in [`Receiver::recv`] waiting for an item.
+    recv_waiting: usize,
+    /// Threads parked in [`Sender::send`] waiting for space.
+    send_waiting: usize,
+}
+
 struct ChannelInner<T> {
-    queue: Mutex<VecDeque<T>>,
-    /// Signalled when the queue gains an item or the channel closes.
+    state: Mutex<State<T>>,
+    /// Signalled when the queue gains an item while a receiver is
+    /// parked, or when the channel closes.
     not_empty: Condvar,
-    /// Signalled when the queue loses an item or the receiver drops.
+    /// Signalled when the queue loses an item while a sender is parked,
+    /// or when the receiver drops.
     not_full: Condvar,
     capacity: usize,
     senders: AtomicUsize,
@@ -80,7 +104,11 @@ impl<T> std::fmt::Debug for Receiver<T> {
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     assert!(capacity > 0, "channel capacity must be positive");
     let inner = Arc::new(ChannelInner {
-        queue: Mutex::new(VecDeque::with_capacity(capacity)),
+        state: Mutex::new(State {
+            queue: VecDeque::with_capacity(capacity),
+            recv_waiting: 0,
+            send_waiting: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         capacity,
@@ -103,25 +131,30 @@ impl<T> Sender<T> {
     /// once. Returns the value if the receiver has disconnected.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let inner = &*self.inner;
-        let mut queue = lock(&inner.queue);
-        if queue.len() >= inner.capacity {
+        let mut state = lock(&inner.state);
+        if state.queue.len() >= inner.capacity {
             inner.backpressure.fetch_add(1, Ordering::Relaxed);
-            while queue.len() >= inner.capacity {
+            while state.queue.len() >= inner.capacity {
                 if inner.receiver_alive.load(Ordering::Acquire) == 0 {
                     return Err(SendError(value));
                 }
-                queue = inner
+                state.send_waiting += 1;
+                state = inner
                     .not_full
-                    .wait(queue)
+                    .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
+                state.send_waiting -= 1;
             }
         }
         if inner.receiver_alive.load(Ordering::Acquire) == 0 {
             return Err(SendError(value));
         }
-        queue.push_back(value);
-        drop(queue);
-        inner.not_empty.notify_one();
+        state.queue.push_back(value);
+        let wake = state.recv_waiting > 0;
+        drop(state);
+        if wake {
+            inner.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -145,7 +178,7 @@ impl<T> Drop for Sender<T> {
         if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender: wake a receiver blocked in recv() so it can
             // observe the disconnect.
-            let _guard = lock(&self.inner.queue);
+            let _guard = lock(&self.inner.state);
             self.inner.not_empty.notify_all();
         }
     }
@@ -156,20 +189,25 @@ impl<T> Receiver<T> {
     /// once all senders have dropped and the buffer is empty.
     pub fn recv(&self) -> Option<T> {
         let inner = &*self.inner;
-        let mut queue = lock(&inner.queue);
+        let mut state = lock(&inner.state);
         loop {
-            if let Some(value) = queue.pop_front() {
-                drop(queue);
-                inner.not_full.notify_one();
+            if let Some(value) = state.queue.pop_front() {
+                let wake = state.send_waiting > 0;
+                drop(state);
+                if wake {
+                    inner.not_full.notify_one();
+                }
                 return Some(value);
             }
             if inner.senders.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            queue = inner
+            state.recv_waiting += 1;
+            state = inner
                 .not_empty
-                .wait(queue)
+                .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
+            state.recv_waiting -= 1;
         }
     }
 
@@ -177,11 +215,12 @@ impl<T> Receiver<T> {
     /// number moved. The collector's batch-drain hot path.
     pub fn try_recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let inner = &*self.inner;
-        let mut queue = lock(&inner.queue);
-        let take = queue.len().min(max);
-        out.extend(queue.drain(..take));
-        drop(queue);
-        if take > 0 {
+        let mut state = lock(&inner.state);
+        let take = state.queue.len().min(max);
+        out.extend(state.queue.drain(..take));
+        let wake = take > 0 && state.send_waiting > 0;
+        drop(state);
+        if wake {
             inner.not_full.notify_all();
         }
         take
@@ -194,7 +233,7 @@ impl<T> Receiver<T> {
 
     /// Items currently buffered.
     pub fn len(&self) -> usize {
-        lock(&self.inner.queue).len()
+        lock(&self.inner.state).queue.len()
     }
 
     /// True when no items are buffered.
@@ -211,7 +250,7 @@ impl<T> Receiver<T> {
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         self.inner.receiver_alive.store(0, Ordering::Release);
-        let _guard = lock(&self.inner.queue);
+        let _guard = lock(&self.inner.state);
         self.inner.not_full.notify_all();
     }
 }
@@ -220,6 +259,99 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
     use std::thread;
+
+    /// The handshake the wake-protocol tests use instead of a sleep:
+    /// spin until `parked` reports a thread inside `Condvar::wait`. The
+    /// counters change only under the channel lock, and a waiter holds
+    /// that lock from its increment until `wait` releases it, so seeing
+    /// a non-zero count here means the thread is parked (or is woken and
+    /// re-taking the lock, about to re-check its condition).
+    fn await_parked<T>(inner: &ChannelInner<T>, parked: impl Fn(&State<T>) -> usize) {
+        while parked(&lock(&inner.state)) == 0 {
+            thread::yield_now();
+        }
+    }
+
+    fn parked_counts<T>(inner: &ChannelInner<T>) -> (usize, usize) {
+        let state = lock(&inner.state);
+        (state.recv_waiting, state.send_waiting)
+    }
+
+    #[test]
+    fn parked_recv_is_woken_by_send() {
+        let (tx, rx) = bounded::<usize>(4);
+        thread::scope(|s| {
+            let parked = s.spawn(|| rx.recv());
+            await_parked(&tx.inner, |st| st.recv_waiting);
+            tx.send(7).unwrap();
+            assert_eq!(parked.join().unwrap(), Some(7));
+        });
+        assert_eq!(parked_counts(&rx.inner), (0, 0));
+        assert_eq!(tx.backpressure_events(), 0);
+    }
+
+    #[test]
+    fn parked_send_is_woken_by_batch_drain() {
+        let (tx, rx) = bounded::<usize>(1);
+        tx.send(0).unwrap();
+        thread::scope(|s| {
+            let parked = s.spawn(|| tx.send(1));
+            await_parked(&rx.inner, |st| st.send_waiting);
+            let mut out = Vec::new();
+            assert_eq!(rx.try_recv_batch(&mut out, 8), 1);
+            assert_eq!(out, vec![0]);
+            assert_eq!(parked.join().unwrap(), Ok(()));
+        });
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(parked_counts(&rx.inner), (0, 0));
+        assert_eq!(tx.backpressure_events(), 1);
+    }
+
+    #[test]
+    fn parked_send_is_woken_by_recv() {
+        let (tx, rx) = bounded::<usize>(1);
+        tx.send(0).unwrap();
+        thread::scope(|s| {
+            let parked = s.spawn(|| tx.send(1));
+            await_parked(&rx.inner, |st| st.send_waiting);
+            assert_eq!(rx.recv(), Some(0));
+            assert_eq!(parked.join().unwrap(), Ok(()));
+        });
+        assert_eq!(rx.recv(), Some(1));
+        assert_eq!(parked_counts(&rx.inner), (0, 0));
+        assert_eq!(tx.backpressure_events(), 1);
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_parked_recv_into_none() {
+        let (tx, rx) = bounded::<usize>(2);
+        let tx2 = tx.clone();
+        thread::scope(|s| {
+            let parked = s.spawn(|| rx.recv());
+            await_parked(&rx.inner, |st| st.recv_waiting);
+            // A clone remains, so the channel is still open and the
+            // receiver stays parked.
+            drop(tx);
+            assert_eq!(parked_counts(&rx.inner), (1, 0));
+            drop(tx2);
+            assert_eq!(parked.join().unwrap(), None);
+        });
+        assert!(rx.is_disconnected());
+    }
+
+    #[test]
+    fn receiver_drop_wakes_parked_send_into_error() {
+        let (tx, rx) = bounded::<usize>(1);
+        tx.send(0).unwrap();
+        thread::scope(|s| {
+            let parked = s.spawn(|| tx.send(1));
+            await_parked(&tx.inner, |st| st.send_waiting);
+            drop(rx);
+            assert_eq!(parked.join().unwrap(), Err(SendError(1)));
+        });
+        assert_eq!(parked_counts(&tx.inner), (0, 0));
+        assert_eq!(tx.backpressure_events(), 1);
+    }
 
     #[test]
     fn delivers_in_order_and_signals_disconnect() {
