@@ -43,8 +43,12 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::Rng;
 use trim_core::adversary::AttackPolicy;
+use trim_core::engine::policy_seed;
+use trim_core::ml_sim::{MlArena, MlModel, MlScenario, MlSimConfig};
+use trim_core::simulation::{GameConfig, ScalarArena, ScalarScenario, Scheme};
 use trim_core::strategy::ThresholdPolicy;
 use trim_core::{EngineRun, EngineStepper, Scenario};
+use trimgame_datasets::Dataset;
 use trimgame_numerics::rand_ext::{derive_seed, seeded_rng};
 use trimgame_stream::board::RangedVenue;
 use trimgame_stream::channel::{bounded, Receiver};
@@ -688,6 +692,11 @@ where
     }
 }
 
+/// The engine seed of `stream` under `master_seed`.
+fn stream_seed(master_seed: u64, stream: usize) -> u64 {
+    derive_seed(derive_seed(master_seed, ENGINE_STREAM), stream as u64)
+}
+
 /// The standard scalar-substrate stream factory: each stream plays the
 /// Tit-for-tat game over the shared benchmark pool with stream-derived
 /// seeds. Used by `expt collect`, the perf cases and the determinism
@@ -698,21 +707,52 @@ pub fn scalar_stream_setup(
     rounds: usize,
     master_seed: u64,
     stream: usize,
-) -> StreamSetup<trim_core::simulation::ScalarScenario> {
-    use trim_core::simulation::{GameConfig, Scheme, POLICY_SEED_STREAM};
-    let seed = derive_seed(derive_seed(master_seed, ENGINE_STREAM), stream as u64);
+) -> StreamSetup<ScalarScenario> {
+    let seed = stream_seed(master_seed, stream);
     let cfg = GameConfig {
         seed,
         rounds,
         ..GameConfig::new(Scheme::TitForTat)
     };
-    let scenario = trim_core::simulation::ScalarScenario::lean(pool, &cfg);
     StreamSetup {
-        scenario,
+        scenario: ScalarScenario::new(ScalarArena::new(pool), &cfg),
+        defender: Box::new(cfg.defender()),
+        adversary: Box::new(cfg.adversary()),
+        rng: seeded_rng(seed),
+        policy_seed: policy_seed(seed),
+    }
+}
+
+/// The ML stream game of `stream`: Tit-for-tat at `Tth = 0.9` against a
+/// 0.2 attack ratio.
+fn ml_stream_config(rounds: usize, master_seed: u64, stream: usize) -> MlSimConfig {
+    let seed = stream_seed(master_seed, stream);
+    MlSimConfig {
+        rounds,
+        ..MlSimConfig::new(Scheme::TitForTat, 0.9, 0.2, seed)
+    }
+}
+
+/// The ML-substrate stream factory: each stream plays the Tit-for-tat
+/// feature-vector game over `data` (through the clean `model` fitted on
+/// it, shared by every stream) with stream-derived seeds. The scenario
+/// keeps no retained rows — the collector reads only the engine's
+/// aggregates and the board.
+#[must_use]
+pub fn ml_stream_setup<'d>(
+    data: &'d Dataset,
+    model: &Arc<MlModel>,
+    rounds: usize,
+    master_seed: u64,
+    stream: usize,
+) -> StreamSetup<MlScenario<'d>> {
+    let cfg = ml_stream_config(rounds, master_seed, stream);
+    StreamSetup {
+        scenario: MlScenario::new(data, MlArena::with_model(Arc::clone(model)), &cfg),
         defender: Box::new(cfg.scheme.defender(cfg.tth, 1.0, cfg.red)),
         adversary: Box::new(cfg.scheme.adversary(cfg.tth)),
-        rng: seeded_rng(seed),
-        policy_seed: derive_seed(seed, POLICY_SEED_STREAM),
+        rng: seeded_rng(cfg.seed),
+        policy_seed: policy_seed(cfg.seed),
     }
 }
 
@@ -1008,38 +1048,24 @@ fn run_on_inner(
             )
         }
         SubstrateKind::Ml => {
-            use trim_core::ml_sim::{MlScenario, MlSimConfig};
-            use trim_core::simulation::{Scheme, POLICY_SEED_STREAM};
             let data = standard_ml_dataset();
+            let model = Arc::new(MlModel::fit(&data));
             run_collector_inner(
                 cfg,
-                |stream| {
-                    let seed = derive_seed(derive_seed(cfg.seed, ENGINE_STREAM), stream as u64);
-                    let ml_cfg = MlSimConfig {
-                        rounds: cfg.rounds,
-                        seed,
-                        ..MlSimConfig::new(Scheme::TitForTat, 0.9, 0.2, seed)
-                    };
-                    StreamSetup {
-                        scenario: MlScenario::new(&data, &ml_cfg),
-                        defender: Box::new(ml_cfg.scheme.defender(ml_cfg.tth, 1.0, ml_cfg.red)),
-                        adversary: Box::new(ml_cfg.scheme.adversary(ml_cfg.tth)),
-                        rng: seeded_rng(seed),
-                        policy_seed: derive_seed(seed, POLICY_SEED_STREAM),
-                    }
-                },
+                |stream| ml_stream_setup(&data, &model, cfg.rounds, cfg.seed, stream),
                 resume,
             )
         }
         SubstrateKind::Ldp => {
             use trim_core::adversary::AdversaryPolicy;
-            use trim_core::ldp_sim::{ldp_defender, LdpDefense, LdpScenario, LdpSimConfig};
-            use trim_core::simulation::POLICY_SEED_STREAM;
+            use trim_core::ldp_sim::{
+                ldp_defender, LdpArena, LdpDefense, LdpScenario, LdpSimConfig,
+            };
             let population = standard_ldp_population();
             run_collector_inner(
                 cfg,
                 |stream| {
-                    let seed = derive_seed(derive_seed(cfg.seed, ENGINE_STREAM), stream as u64);
+                    let seed = stream_seed(cfg.seed, stream);
                     let ldp_cfg = LdpSimConfig {
                         rounds: cfg.rounds,
                         users_per_round: 400,
@@ -1049,13 +1075,14 @@ fn run_on_inner(
                     // The calibration round consumes the head of the main
                     // stream, exactly as the pull-based LDP driver does.
                     let mut rng = seeded_rng(seed);
-                    let scenario = LdpScenario::new(&population, defense, &ldp_cfg, &mut rng);
+                    let scenario =
+                        LdpScenario::new(&population, defense, &ldp_cfg, LdpArena::new(), &mut rng);
                     StreamSetup {
                         scenario,
                         defender: Box::new(ldp_defender(defense, &ldp_cfg)),
                         adversary: Box::new(AdversaryPolicy::Fixed { percentile: 1.0 }),
                         rng,
-                        policy_seed: derive_seed(seed, POLICY_SEED_STREAM),
+                        policy_seed: policy_seed(seed),
                     }
                 },
                 resume,
@@ -1367,5 +1394,38 @@ mod tests {
         let p99 = merged.quantile_ns(0.99);
         assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
         assert!(p99 >= 1_000_000, "p99 {p99} below the largest sample");
+    }
+
+    #[test]
+    fn ml_stream_setup_keeps_no_retained_rows() {
+        // The collector reads only the engine's aggregates, so its ML
+        // streams must not accumulate retained rows; dropping them must
+        // not change a single engine output.
+        use crate::empirical::standard_ml_dataset;
+        let data = standard_ml_dataset();
+        let model = Arc::new(MlModel::fit(&data));
+        let play = |setup: StreamSetup<MlScenario<'_>>| {
+            let mut rng = setup.rng;
+            let mut stepper = EngineStepper::with_policy_seed(
+                setup.scenario,
+                setup.defender,
+                setup.adversary,
+                setup.policy_seed,
+            );
+            for _ in 0..50 {
+                let _ = stepper.step(&mut rng);
+            }
+            let (run, scenario, _, _) = stepper.into_parts();
+            (run, scenario.into_collected(Scheme::TitForTat, &run.totals))
+        };
+        let (run, collected) = play(ml_stream_setup(&data, &model, 50, 7, 1));
+        assert_eq!(collected.retained.rows(), 0);
+        let cfg = ml_stream_config(50, 7, 1);
+        let (recorded_run, recorded) = play(StreamSetup {
+            scenario: MlScenario::recording(&data, MlArena::with_model(Arc::clone(&model)), &cfg),
+            ..ml_stream_setup(&data, &model, 50, 7, 1)
+        });
+        assert_eq!(run, recorded_run);
+        assert!(recorded.retained.rows() > 0);
     }
 }

@@ -53,18 +53,18 @@
 //! `TRIMGAME_SWEEP_THREADS`.
 
 use crate::sweep::{env_workers, parallel_map_with};
+use rand::rngs::StdRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use trim_core::adversary::{AdaptiveAttacker, AdversaryPolicy, AttackPolicy, Exp3Attacker};
-use trim_core::engine::EngineScratch;
+use trim_core::engine::{policy_seed, Engine, EngineScratch, Scenario};
 use trim_core::equilibrium::StackelbergSolver;
 use trim_core::ldp_sim::{
-    counterfeit_input, ldp_calibration, run_ldp_collection_with_scratch, LdpArena, LdpDefense,
-    LdpSimConfig,
+    counterfeit_input, ldp_calibration, LdpArena, LdpDefense, LdpScenario, LdpSimConfig,
 };
 use trim_core::matrix::{MatrixGame, MixedEquilibrium};
-use trim_core::ml_sim::{collect_poisoned_with_scratch, MlArena, MlModel, MlSimConfig};
-use trim_core::simulation::{run_game_with_scratch, GameConfig, ScalarArena, Scheme};
+use trim_core::ml_sim::{MlArena, MlModel, MlScenario, MlSimConfig};
+use trim_core::simulation::{GameConfig, ScalarArena, ScalarScenario, Scheme};
 use trim_core::space::{refine_placements, StrategySpace};
 use trim_core::strategy::{DefenderPolicy, RandomizedDefender, ThresholdPolicy};
 use trimgame_datasets::synthetic::{GaussianComponent, GmmSpec};
@@ -374,9 +374,8 @@ impl CellScratch {
 /// (defender policy × attack policy × seed) cell is played, and the
 /// substrate's closed-form loss model for the analytic cross-check.
 ///
-/// All three implementations route through the scratch-backed entry
-/// points the engine core exposes (`run_game_with_scratch`,
-/// `collect_poisoned_with_scratch`, `run_ldp_collection_with_scratch`),
+/// All three implementations play their substrate's one scenario type
+/// over the worker's borrowed arena through [`Engine::run_with_scratch`],
 /// so anything expressible as a [`ThresholdPolicy`]/[`AttackPolicy`]
 /// pair — pure atoms, solved mixtures, board-driven best responses,
 /// bandit learners — plays the same game the payoff grid measures, and
@@ -500,6 +499,33 @@ impl ClosedForm {
     }
 }
 
+/// Plays one seeded payoff cell of `scenario` into the worker's engine
+/// scratch: the defender sub-stream derives from `seed`, `rng` is the
+/// cell's main stream (already advanced by any scenario setup), and the
+/// losses are per-round averages of the final utilities.
+#[allow(clippy::too_many_arguments)] // one arg per game ingredient, like `run_cell`
+fn play_cell<S: Scenario>(
+    scenario: S,
+    defender: Box<dyn ThresholdPolicy>,
+    attacker: Box<dyn AttackPolicy>,
+    board: Option<PublicBoard>,
+    seed: u64,
+    rounds: usize,
+    rng: &mut StdRng,
+    scratch: &mut EngineScratch,
+) -> CellOutcome {
+    let mut engine =
+        Engine::with_policies(scenario, defender, attacker).with_policy_seed(policy_seed(seed));
+    if let Some(board) = board {
+        engine = engine.with_board(board);
+    }
+    let run = engine.run_with_scratch(rounds, rng, scratch);
+    CellOutcome {
+        collector_loss: -run.final_u_c / rounds as f64,
+        attacker_gain: run.final_u_a / rounds as f64,
+    }
+}
+
 /// The scalar value-stream substrate (the PR 3 pipeline, unchanged
 /// numbers). Holds an arena template (pool + sorted reference table,
 /// built once) that worker scratches clone — no per-worker sort, no
@@ -557,12 +583,16 @@ impl GameSubstrate for ScalarSubstrate {
             .arena
             .downcast_mut::<ScalarArena>()
             .expect("scalar scratch carries a ScalarArena");
-        let run =
-            run_game_with_scratch(&game, defender, attacker, board, arena, &mut scratch.engine);
-        CellOutcome {
-            collector_loss: -run.final_u_c / game.rounds as f64,
-            attacker_gain: run.final_u_a / game.rounds as f64,
-        }
+        play_cell(
+            ScalarScenario::new(arena, &game),
+            defender,
+            attacker,
+            board,
+            seed,
+            game.rounds,
+            &mut seeded_rng(seed),
+            &mut scratch.engine,
+        )
     }
 
     fn closed_form(&self, cfg: &EquilibriumConfig) -> ClosedForm {
@@ -631,19 +661,16 @@ impl GameSubstrate for MlSubstrate {
             .arena
             .downcast_mut::<MlArena>()
             .expect("ml scratch carries an MlArena");
-        let run = collect_poisoned_with_scratch(
-            &self.data,
-            &ml,
+        play_cell(
+            MlScenario::new(&self.data, arena, &ml),
             defender,
             attacker,
             board,
-            arena,
+            seed,
+            ml.rounds,
+            &mut seeded_rng(seed),
             &mut scratch.engine,
-        );
-        CellOutcome {
-            collector_loss: -run.final_u_c / ml.rounds as f64,
-            attacker_gain: run.final_u_a / ml.rounds as f64,
-        }
+        )
     }
 
     fn closed_form(&self, cfg: &EquilibriumConfig) -> ClosedForm {
@@ -721,20 +748,25 @@ impl GameSubstrate for LdpSubstrate {
             .arena
             .downcast_mut::<LdpArena>()
             .expect("ldp scratch carries an LdpArena");
-        let run = run_ldp_collection_with_scratch(
+        // The calibration round consumes the head of the main stream.
+        let mut rng = seeded_rng(seed);
+        let scenario = LdpScenario::new(
             &self.population,
             LdpDefense::TitForTat,
             &ldp,
+            arena,
+            &mut rng,
+        );
+        play_cell(
+            scenario,
             defender,
             attacker,
             board,
-            arena,
+            seed,
+            ldp.rounds,
+            &mut rng,
             &mut scratch.engine,
-        );
-        CellOutcome {
-            collector_loss: -run.final_u_c / ldp.rounds as f64,
-            attacker_gain: run.final_u_a / ldp.rounds as f64,
-        }
+        )
     }
 
     fn closed_form(&self, cfg: &EquilibriumConfig) -> ClosedForm {

@@ -13,7 +13,7 @@ use trim_core::elastic::CoupledDynamics;
 use trim_core::ldp_sim::{ldp_mse, LdpDefense, LdpSimConfig};
 use trim_core::matrix::UltimatumPayoffs;
 use trim_core::ml_sim::{
-    collect_poisoned_with_model, som_structure, svm_accuracy, MlModel, MlSimConfig,
+    collect_poisoned, som_structure, svm_accuracy, MlArena, MlModel, MlSimConfig,
 };
 use trim_core::simulation::{run_table3_point, Scheme};
 use trimgame_datasets::shapes::{control, creditcard, taxi, vehicle, Shape};
@@ -156,7 +156,8 @@ pub fn fig45(tth: f64) -> String {
                         derive_seed(5, rep as u64),
                     )
                 };
-                let collected = collect_poisoned_with_model(&data, &cfg, &model);
+                let collected =
+                    collect_poisoned(&data, &cfg, MlArena::with_model(Arc::clone(&model)));
                 let (sse, dist) = trim_core::ml_sim::kmeans_metrics_vs(&collected, &truth);
                 // Normalize SSE by retained rows so schemes with
                 // different retention are comparable.
@@ -298,7 +299,7 @@ pub fn fig7() -> String {
             batch: 60,
             ..MlSimConfig::new(schemes[idx / reps], 0.95, 0.4, derive_seed(21, rep as u64))
         };
-        let collected = collect_poisoned_with_model(&data, &cfg, &model);
+        let collected = collect_poisoned(&data, &cfg, MlArena::with_model(Arc::clone(&model)));
         svm_accuracy(&collected, &data, derive_seed(23, rep as u64))
     });
     for (si, scheme) in schemes.iter().enumerate() {
@@ -360,7 +361,7 @@ pub fn fig8() -> String {
             batch: 200,
             ..MlSimConfig::new(schemes[si], 0.95, 0.4, 43)
         };
-        let collected = collect_poisoned_with_model(&data, &cfg, &model);
+        let collected = collect_poisoned(&data, &cfg, MlArena::with_model(Arc::clone(&model)));
         som_structure(&collected, &data, SomConfig::paper(), 47)
     });
     for (scheme, (separated, footprint)) in schemes.iter().zip(rows) {

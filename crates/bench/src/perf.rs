@@ -23,10 +23,12 @@ use crate::empirical::{
     SubstrateKind,
 };
 use trim_core::adversary::AdversaryPolicy;
+use trim_core::engine::{policy_seed, Engine, EngineScratch};
 use trim_core::matrix::MatrixGame;
-use trim_core::simulation::{run_game_with_policies, GameConfig, Scheme};
+use trim_core::simulation::{GameConfig, ScalarArena, ScalarScenario, Scheme};
 use trim_core::strategy::DefenderPolicy;
 use trimgame_numerics::gk::{GkScratch, GkSummary};
+use trimgame_numerics::rand_ext::seeded_rng;
 
 /// One measured case.
 #[derive(Debug, Clone, PartialEq)]
@@ -437,14 +439,13 @@ fn engine_cell(pool: &[f64], rounds: usize, batch: usize) -> f64 {
     cfg.rounds = rounds;
     cfg.batch = batch;
     cfg.seed = 7;
-    let out = run_game_with_policies(
-        pool,
-        &cfg,
-        Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
-        Box::new(AdversaryPolicy::Fixed { percentile: 0.89 }),
-        None,
-        false,
-    );
+    let out = Engine::new(
+        ScalarScenario::new(ScalarArena::new(pool), &cfg),
+        DefenderPolicy::Fixed { tth: cfg.tth },
+        AdversaryPolicy::Fixed { percentile: 0.89 },
+    )
+    .with_policy_seed(policy_seed(cfg.seed))
+    .run(cfg.rounds, &mut seeded_rng(cfg.seed));
     *out.utilities.u_c.last().expect("rounds > 0")
 }
 
@@ -464,8 +465,8 @@ fn engine_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
 
     // The same run through the scratch path: one arena + one engine
     // scratch across every iteration — what a payoff-grid worker pays.
-    let mut arena = trim_core::simulation::ScalarArena::new(&pool);
-    let mut scratch = trim_core::engine::EngineScratch::new();
+    let mut arena = ScalarArena::new(&pool);
+    let mut scratch = EngineScratch::new();
     let mut cfg = GameConfig::new(Scheme::BaselineStatic);
     cfg.rounds = 20;
     cfg.batch = 1_000;
@@ -473,14 +474,13 @@ fn engine_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     cases.push(BenchCase {
         name: "engine/scalar_run_scratch/1000x20".into(),
         mean_ns: time_ns(warmup, measure, || {
-            let run = trim_core::simulation::run_game_with_scratch(
-                &cfg,
-                Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
-                Box::new(AdversaryPolicy::Fixed { percentile: 0.89 }),
-                None,
-                &mut arena,
-                &mut scratch,
-            );
+            let run = Engine::new(
+                ScalarScenario::new(&mut arena, &cfg),
+                DefenderPolicy::Fixed { tth: cfg.tth },
+                AdversaryPolicy::Fixed { percentile: 0.89 },
+            )
+            .with_policy_seed(policy_seed(cfg.seed))
+            .run_with_scratch(cfg.rounds, &mut seeded_rng(cfg.seed), &mut scratch);
             std::hint::black_box(run.final_u_c);
         }),
     });

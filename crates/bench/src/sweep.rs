@@ -4,8 +4,8 @@
 //! games under noise, equilibrium checks — needs *thousands* of seeded
 //! game instances, not one. This module fans a grid of
 //! (scheme × seed × stream shape) cells across `std::thread::scope`
-//! workers, each cell one [`run_game_engine`] call in lean mode (no
-//! per-round kept payloads, scratch-buffer trimming), and aggregates
+//! workers, each cell one non-recording [`ScalarScenario`] engine run
+//! (no per-round kept payloads, scratch-buffer trimming), and aggregates
 //! per-scheme utility statistics.
 //!
 //! The work queue is a single atomic cursor over the flattened grid:
@@ -19,7 +19,9 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use trim_core::simulation::{run_game_engine, GameConfig, Scheme};
+use trim_core::engine::{policy_seed, Engine, EngineScratch};
+use trim_core::simulation::{GameConfig, ScalarArena, ScalarScenario, Scheme};
+use trimgame_numerics::rand_ext::seeded_rng;
 use trimgame_numerics::stats::OnlineStats;
 use trimgame_stream::board::ShardedBoard;
 
@@ -144,7 +146,13 @@ pub struct SweepCell {
 fn run_cell(pool: &[f64], grid: &SweepGrid, idx: usize) -> SweepCell {
     let (scheme, seed, shape) = grid.cell(idx);
     let cfg = grid.config(scheme, seed, shape);
-    let out = run_game_engine(pool, &cfg, false);
+    let out = Engine::new(
+        ScalarScenario::new(ScalarArena::new(pool), &cfg),
+        cfg.defender(),
+        cfg.adversary(),
+    )
+    .with_policy_seed(policy_seed(cfg.seed))
+    .run(cfg.rounds, &mut seeded_rng(cfg.seed));
     SweepCell {
         scheme,
         seed,
@@ -162,8 +170,8 @@ fn run_cell(pool: &[f64], grid: &SweepGrid, idx: usize) -> SweepCell {
 /// cell that worker claims.
 #[derive(Debug)]
 pub struct SweepWorker {
-    arena: trim_core::simulation::ScalarArena,
-    scratch: trim_core::engine::EngineScratch,
+    arena: ScalarArena,
+    scratch: EngineScratch,
 }
 
 impl SweepWorker {
@@ -172,8 +180,8 @@ impl SweepWorker {
     #[must_use]
     pub fn new(pool: &[f64]) -> Self {
         Self {
-            arena: trim_core::simulation::ScalarArena::new(pool),
-            scratch: trim_core::engine::EngineScratch::new(),
+            arena: ScalarArena::new(pool),
+            scratch: EngineScratch::new(),
         }
     }
 }
@@ -189,20 +197,16 @@ fn run_cell_with(
 ) -> SweepCell {
     let (scheme, seed, shape) = grid.cell(idx);
     let cfg = grid.config(scheme, seed, shape);
-    let baseline_quality = 1.0; // clean batches carry no excess tail mass
-    let defender = cfg.scheme.defender(cfg.tth, baseline_quality, cfg.red);
-    let adversary = cfg
-        .adversary_override
-        .clone()
-        .unwrap_or_else(|| cfg.scheme.adversary(cfg.tth));
-    let run = trim_core::simulation::run_game_with_scratch(
-        &cfg,
-        Box::new(defender),
-        Box::new(adversary),
-        board,
-        &mut worker.arena,
-        &mut worker.scratch,
-    );
+    let mut engine = Engine::new(
+        ScalarScenario::new(&mut worker.arena, &cfg),
+        cfg.defender(),
+        cfg.adversary(),
+    )
+    .with_policy_seed(policy_seed(cfg.seed));
+    if let Some(board) = board {
+        engine = engine.with_board(board);
+    }
+    let run = engine.run_with_scratch(cfg.rounds, &mut seeded_rng(cfg.seed), &mut worker.scratch);
     SweepCell {
         scheme,
         seed,
@@ -650,10 +654,10 @@ mod tests {
         let pool = pool();
         let cells = run_sequential(&pool, &grid);
         let cfg = grid.config(grid.schemes[0], grid.seeds[0], &grid.shapes[0]);
-        let direct = run_game_engine(&pool, &cfg, false);
+        let direct = trim_core::simulation::run_game(&pool, &cfg);
         assert_eq!(
             cells[0].surviving_poison_fraction,
-            direct.totals.surviving_poison_fraction()
+            direct.surviving_poison_fraction()
         );
         assert_eq!(cells[0].final_u_a, *direct.utilities.u_a.last().unwrap());
     }

@@ -36,9 +36,24 @@ use crate::adversary::{AdversaryObservation, AdversaryPolicy, AttackPolicy};
 use crate::lagrange::UtilityTrajectory;
 use crate::strategy::{DefenderObservation, DefenderPolicy, ThresholdPolicy};
 use rand::Rng;
-use trimgame_numerics::rand_ext::seeded_rng;
+use trimgame_numerics::rand_ext::{derive_seed, seeded_rng};
 use trimgame_numerics::stats::OnlineStats;
 use trimgame_stream::board::{PublicBoard, RoundRecord};
+
+/// The stream index every game derives its defender sub-stream from.
+const POLICY_SEED_STREAM: u64 = 0x504F_4C49_4359; // "POLICY"
+
+/// The defender policy sub-stream seed of the game seeded with
+/// `game_seed` — pass it to [`Engine::with_policy_seed`] (or
+/// [`EngineStepper::with_policy_seed`]) next to `seeded_rng(game_seed)`
+/// for the main stream. Deterministic policies never read the
+/// sub-stream, so this only matters for randomized defenders: it gives
+/// them seed-varying draws across repetitions while every fixed-seed
+/// deterministic trajectory stays bit-identical.
+#[must_use]
+pub fn policy_seed(game_seed: u64) -> u64 {
+    derive_seed(game_seed, POLICY_SEED_STREAM)
+}
 
 /// What one environment step reports back to the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -489,10 +504,10 @@ impl<S: Scenario> Engine<S> {
     /// randomized defenders — and for those, **every run sharing this
     /// default replays the identical threshold draws**, even across
     /// different main-stream seeds. Repetitions meant to be independent
-    /// must derive a per-run policy seed (as `run_game_with_policies`,
-    /// `collect_poisoned_with` and `run_ldp_collection_with` do from the
-    /// game seed); the constant default exists so deterministic replays
-    /// need no ceremony, not as a sampling scheme.
+    /// must derive a per-run policy seed from the game seed with
+    /// [`policy_seed`] (as every stock run function does); the constant
+    /// default exists so deterministic replays need no ceremony, not as a
+    /// sampling scheme.
     pub const DEFAULT_POLICY_SEED: u64 = 0x5452_494D_5052_4E47; // "TRIMPRNG"
 
     /// Builds an engine from the scenario and the paper's closed-roster
@@ -530,9 +545,8 @@ impl<S: Scenario> Engine<S> {
     }
 
     /// Seeds the dedicated defender policy sub-stream. Derive this from
-    /// the run's master seed (e.g. with
-    /// [`trimgame_numerics::rand_ext::derive_seed`]) so randomized
-    /// defenders vary across repetitions while deterministic replays stay
+    /// the run's game seed with [`policy_seed`] so randomized defenders
+    /// vary across repetitions while deterministic replays stay
     /// untouched.
     #[must_use]
     pub fn with_policy_seed(mut self, seed: u64) -> Self {

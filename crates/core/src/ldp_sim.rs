@@ -25,13 +25,12 @@
 //! inflection at small ε.
 
 use crate::adversary::AdversaryPolicy;
-use crate::engine::{Engine, RoundReport, Scenario};
-use crate::simulation::POLICY_SEED_STREAM;
-use crate::strategy::{DefenderPolicy, ThresholdPolicy};
+use crate::engine::{policy_seed, Engine, RoundReport, Scenario};
+use crate::strategy::DefenderPolicy;
 use crate::titfortat::TitForTat;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::borrow::Cow;
+use std::borrow::{BorrowMut, Cow};
 use trimgame_ldp::attack::{Attack, InputManipulation};
 use trimgame_ldp::emf::EmFilter;
 use trimgame_ldp::mechanism::LdpMechanism;
@@ -130,18 +129,18 @@ pub struct LdpBufs {
     reports: Vec<f64>,
     trim: TrimScratch,
     /// The memory-bounded threshold source of the sketch-native game: a
-    /// GK sketch fed the calibration stream (batched) by
-    /// [`ldp_calibrate`] when the run asks for one.
+    /// GK sketch fed the calibration stream (batched) by the calibration
+    /// round when the run asks for one.
     sketch: Option<SketchThreshold>,
 }
 
 /// A worker's reusable LDP game state. Unlike the scalar/ML arenas there
 /// is no shareable model — the calibration stream is part of each run's
 /// seeded randomness — but the buffers (calibration table, prefix sums,
-/// per-round reports, trim scratch) are recycled across runs via
-/// [`run_ldp_collection_with_scratch`], and the sketch-native game
-/// additionally memoizes whole calibrations across the payoff grid's
-/// cells (see `CalibEntry`).
+/// per-round reports, trim scratch) are recycled across the
+/// [`LdpScenario`] runs the arena is lent (`&mut`) to, and whole
+/// calibrations are memoized across the payoff grid's cells (see
+/// `CalibEntry`).
 #[derive(Debug, Clone, Default)]
 pub struct LdpArena {
     bufs: LdpBufs,
@@ -191,60 +190,6 @@ struct LdpParams {
     trims: bool,
 }
 
-/// Runs the clean calibration round into `calib`/`prefix` (the collector
-/// knows the honest report distribution shape: the mechanism is public
-/// and the input prior comes from history) and computes the derived
-/// per-run parameters. Draws are identical for the owned and the
-/// arena-backed path.
-fn ldp_calibrate<R: Rng + ?Sized>(
-    population: &[f64],
-    mech: &Piecewise,
-    defense: LdpDefense,
-    cfg: &LdpSimConfig,
-    bufs: &mut LdpBufs,
-    rng: &mut R,
-) -> LdpParams {
-    assert!(!population.is_empty(), "empty population");
-    assert!(
-        cfg.rounds > 0 && cfg.users_per_round > 0,
-        "degenerate config"
-    );
-    bufs.calib.clear();
-    bufs.calib.extend((0..cfg.users_per_round).map(|i| {
-        let x = population[i % population.len()];
-        mech.privatize(x, rng)
-    }));
-    bufs.calib
-        .sort_by(|a, b| a.partial_cmp(b).expect("NaN report"));
-    // Prefix sums over the sorted calibration stream: `trim_bias(cut)`
-    // is how far the mean of an honest stream drops when values above
-    // `cut` are removed — the collector adds it back after trimming.
-    bufs.prefix.clear();
-    bufs.prefix.extend(bufs.calib.iter().scan(0.0, |acc, &v| {
-        *acc += v;
-        Some(*acc)
-    }));
-    let calib_mean = mean(&bufs.calib);
-    let ref_value = trimgame_numerics::quantile::percentile_sorted(
-        &bufs.calib,
-        cfg.soft.clamp(0.0, 1.0),
-        Interpolation::Linear,
-    );
-    bufs.sketch = cfg.sketch_epsilon.map(|e| {
-        let mut s = SketchThreshold::new(e);
-        s.observe(&bufs.calib);
-        s
-    });
-    LdpParams {
-        users_per_round: cfg.users_per_round,
-        n_attack: (cfg.users_per_round as f64 * cfg.attack_ratio).round() as usize,
-        calib_mean,
-        ref_value,
-        expected_tail: 1.0 - cfg.soft,
-        trims: !matches!(defense, LdpDefense::Emf),
-    }
-}
-
 /// Fingerprint of everything the calibration round's *content* depends
 /// on: the master seed (the draws), the privacy budget (the mechanism),
 /// the stream length, the sketch rank error, and the exact population
@@ -271,10 +216,14 @@ fn calib_fingerprint(population: &[f64], cfg: &LdpSimConfig) -> u64 {
     key
 }
 
-/// [`ldp_calibrate`] with per-worker memoization — the payoff-grid
-/// path, sketch-native and exact alike. The equilibrium estimator
+/// Runs the clean calibration round into the arena's `calib`/`prefix`
+/// buffers (the collector knows the honest report distribution shape:
+/// the mechanism is public and the input prior comes from history) and
+/// computes the derived per-run parameters.
+///
+/// Calibrations are memoized per arena. The equilibrium estimator
 /// prices a whole defender × attacker grid whose cells share a handful
-/// of repetition seeds, yet each engine run used to redo the
+/// of repetition seeds, and each engine run would otherwise redo the
 /// calibration round: privatize and sort `users_per_round` reports,
 /// rebuild prefix sums, and (in sketch mode) re-feed the GK sketch. All
 /// of that depends only on [`calib_fingerprint`]'s inputs, not on the
@@ -283,10 +232,11 @@ fn calib_fingerprint(population: &[f64], cfg: &LdpSimConfig) -> u64 {
 /// (the reference quantile is one index into the sorted table). The
 /// fingerprint encodes the sketch rank error (absent = `u64::MAX`), so
 /// exact and sketch entries for the same seed never collide; an exact
-/// entry simply carries `sketch: None`. Results are identical whether
-/// or not the cache is warm, so worker counts and job order cannot skew
+/// entry simply carries `sketch: None`. A miss — always the case on a
+/// fresh arena — runs the draws. Results are identical whether or not
+/// the cache is warm, so worker counts and job order cannot skew
 /// anything.
-fn ldp_calibrate_cached(
+fn ldp_calibrate(
     population: &[f64],
     mech: &Piecewise,
     defense: LdpDefense,
@@ -294,48 +244,166 @@ fn ldp_calibrate_cached(
     arena: &mut LdpArena,
     rng: &mut StdRng,
 ) -> LdpParams {
+    assert!(!population.is_empty(), "empty population");
+    assert!(
+        cfg.rounds > 0 && cfg.users_per_round > 0,
+        "degenerate config"
+    );
     let key = calib_fingerprint(population, cfg);
     let LdpArena { bufs, calib_cache } = arena;
-    if let Some(hit) = calib_cache.iter().find(|e| e.key == key) {
+    let calib_mean = if let Some(hit) = calib_cache.iter().find(|e| e.key == key) {
         bufs.calib.clone_from(&hit.calib);
         bufs.prefix.clone_from(&hit.prefix);
         bufs.sketch.clone_from(&hit.sketch);
         *rng = hit.rng_after.clone();
-        let ref_value = trimgame_numerics::quantile::percentile_sorted(
-            &bufs.calib,
-            cfg.soft.clamp(0.0, 1.0),
-            Interpolation::Linear,
-        );
-        return LdpParams {
-            users_per_round: cfg.users_per_round,
-            n_attack: (cfg.users_per_round as f64 * cfg.attack_ratio).round() as usize,
-            calib_mean: hit.calib_mean,
-            ref_value,
-            expected_tail: 1.0 - cfg.soft,
-            trims: !matches!(defense, LdpDefense::Emf),
-        };
+        hit.calib_mean
+    } else {
+        bufs.calib.clear();
+        bufs.calib.extend((0..cfg.users_per_round).map(|i| {
+            let x = population[i % population.len()];
+            mech.privatize(x, rng)
+        }));
+        bufs.calib
+            .sort_by(|a, b| a.partial_cmp(b).expect("NaN report"));
+        // Prefix sums over the sorted calibration stream: `trim_bias(cut)`
+        // is how far the mean of an honest stream drops when values above
+        // `cut` are removed — the collector adds it back after trimming.
+        bufs.prefix.clear();
+        bufs.prefix.extend(bufs.calib.iter().scan(0.0, |acc, &v| {
+            *acc += v;
+            Some(*acc)
+        }));
+        let calib_mean = mean(&bufs.calib);
+        bufs.sketch = cfg.sketch_epsilon.map(|e| {
+            let mut s = SketchThreshold::new(e);
+            s.observe(&bufs.calib);
+            s
+        });
+        if calib_cache.len() >= CALIB_CACHE_CAP {
+            calib_cache.remove(0);
+        }
+        calib_cache.push(CalibEntry {
+            key,
+            calib: bufs.calib.clone(),
+            prefix: bufs.prefix.clone(),
+            sketch: bufs.sketch.clone(),
+            calib_mean,
+            rng_after: rng.clone(),
+        });
+        calib_mean
+    };
+    let ref_value = trimgame_numerics::quantile::percentile_sorted(
+        &bufs.calib,
+        cfg.soft.clamp(0.0, 1.0),
+        Interpolation::Linear,
+    );
+    LdpParams {
+        users_per_round: cfg.users_per_round,
+        n_attack: (cfg.users_per_round as f64 * cfg.attack_ratio).round() as usize,
+        calib_mean,
+        ref_value,
+        expected_tail: 1.0 - cfg.soft,
+        trims: !matches!(defense, LdpDefense::Emf),
     }
-    let params = ldp_calibrate(population, mech, defense, cfg, bufs, rng);
-    if calib_cache.len() >= CALIB_CACHE_CAP {
-        calib_cache.remove(0);
-    }
-    calib_cache.push(CalibEntry {
-        key,
-        calib: bufs.calib.clone(),
-        prefix: bufs.prefix.clone(),
-        sketch: bufs.sketch.clone(),
-        calib_mean: params.calib_mean,
-        rng_after: rng.clone(),
-    });
-    params
 }
 
-/// One LDP round, shared by the owned [`LdpScenario`] and the
-/// arena-backed cell: honest privatization, protocol-compliant attack
+/// The LDP report-stream workload as an
+/// [`engine::Scenario`](crate::engine::Scenario).
+///
+/// Each round privatizes a fresh honest sample with the Piecewise
+/// Mechanism and appends protocol-compliant input-manipulation reports.
+/// Trimming defenses cut at the calibration quantile of the engine's
+/// threshold percentile and accumulate the *debiased* trimmed mean; the
+/// EMF baseline stores the raw stream for one final EM filtering pass.
+///
+/// The scenario plays over an [`LdpArena`] it either owns (`A =
+/// LdpArena`, the default) or borrows from a worker (`A = &mut
+/// LdpArena`, so back-to-back runs share the buffers and the
+/// calibration cache).
+#[derive(Debug, Clone)]
+pub struct LdpScenario<'p, A: BorrowMut<LdpArena> = LdpArena> {
+    population: &'p [f64],
+    mech: Piecewise,
+    arena: A,
+    params: LdpParams,
+    estimate_sum: f64,
+    kept_total: usize,
+    all_reports: Vec<f64>,
+}
+
+impl<'p, A: BorrowMut<LdpArena>> LdpScenario<'p, A> {
+    /// Builds one run of `cfg` under `defense` over `arena`, running the
+    /// clean calibration round on `rng` first (memoized in the arena: a
+    /// warm hit restores the same buffers and post-calibration `rng`
+    /// state a fresh arena computes).
+    ///
+    /// # Panics
+    /// Panics if the population is empty or the config is degenerate.
+    #[must_use]
+    pub fn new(
+        population: &'p [f64],
+        defense: LdpDefense,
+        cfg: &LdpSimConfig,
+        mut arena: A,
+        rng: &mut StdRng,
+    ) -> Self {
+        let mech = Piecewise::new(cfg.epsilon);
+        let params = ldp_calibrate(population, &mech, defense, cfg, arena.borrow_mut(), rng);
+        Self {
+            population,
+            mech,
+            arena,
+            params,
+            estimate_sum: 0.0,
+            kept_total: 0,
+            all_reports: Vec::new(),
+        }
+    }
+
+    /// The weighted debiased trimmed-mean estimate accumulated so far
+    /// (trimming defenses).
+    #[must_use]
+    pub fn trimmed_estimate(&self) -> f64 {
+        if self.kept_total == 0 {
+            0.0
+        } else {
+            self.estimate_sum / self.kept_total as f64
+        }
+    }
+
+    /// The raw report stream (EMF baseline; empty for trimming
+    /// defenses).
+    #[must_use]
+    pub fn raw_reports(&self) -> &[f64] {
+        &self.all_reports
+    }
+
+    /// The mechanism in use.
+    #[must_use]
+    pub fn mechanism(&self) -> &Piecewise {
+        &self.mech
+    }
+}
+
+/// Maps an engine injection *percentile* to the attacker's counterfeit
+/// *input* on the LDP substrate: the linear image of `[0, 1]` onto the
+/// input domain `[−1, 1]`. The historical fixed attack (`percentile 1.0`)
+/// maps to the counterfeit input `+1` exactly, so games driven by the
+/// default [`AdversaryPolicy::Fixed`] at 1.0 replay bit-identically; a
+/// mixed or learning attacker lowering its percentile holds a smaller
+/// counterfeit whose protocol-compliant reports are likelier to duck the
+/// trimming cut — the LDP image of the evasion/damage trade-off.
+#[must_use]
+pub fn counterfeit_input(injection_percentile: f64) -> f64 {
+    2.0 * injection_percentile.clamp(0.0, 1.0) - 1.0
+}
+
+/// One LDP round: honest privatization, protocol-compliant attack
 /// reports, quality scoring, and (for trimming defenses) the cut at the
 /// calibration quantile. Returns the report plus this round's debiased
 /// trimmed-mean contribution `(estimate_delta, kept_delta)`; the raw
-/// reports stay in `bufs.reports` for the EMF path.
+/// reports stay in `bufs.reports` for the EMF path. Kept out of line
+/// like the scalar round (see `simulation::scalar_round`).
 fn ldp_round<R: Rng + ?Sized>(
     population: &[f64],
     mech: &Piecewise,
@@ -437,91 +505,7 @@ fn ldp_round<R: Rng + ?Sized>(
     (report, estimate_delta, kept_delta)
 }
 
-/// The LDP report-stream workload as an
-/// [`engine::Scenario`](crate::engine::Scenario).
-///
-/// Each round privatizes a fresh honest sample with the Piecewise
-/// Mechanism and appends protocol-compliant input-manipulation reports.
-/// Trimming defenses cut at the calibration quantile of the engine's
-/// threshold percentile and accumulate the *debiased* trimmed mean; the
-/// EMF baseline stores the raw stream for one final EM filtering pass.
-#[derive(Debug, Clone)]
-pub struct LdpScenario<'a> {
-    population: &'a [f64],
-    mech: Piecewise,
-    arena: LdpArena,
-    params: LdpParams,
-    estimate_sum: f64,
-    kept_total: usize,
-    all_reports: Vec<f64>,
-}
-
-impl<'a> LdpScenario<'a> {
-    /// Builds the scenario, running the clean calibration round on `rng`
-    /// (the collector knows the honest report distribution shape: the
-    /// mechanism is public and the input prior comes from history).
-    ///
-    /// # Panics
-    /// Panics if the population is empty or the config is degenerate.
-    #[must_use]
-    pub fn new<R: Rng + ?Sized>(
-        population: &'a [f64],
-        defense: LdpDefense,
-        cfg: &LdpSimConfig,
-        rng: &mut R,
-    ) -> Self {
-        let mech = Piecewise::new(cfg.epsilon);
-        let mut arena = LdpArena::new();
-        let params = ldp_calibrate(population, &mech, defense, cfg, &mut arena.bufs, rng);
-        Self {
-            population,
-            mech,
-            arena,
-            params,
-            estimate_sum: 0.0,
-            kept_total: 0,
-            all_reports: Vec::new(),
-        }
-    }
-
-    /// The weighted debiased trimmed-mean estimate accumulated so far
-    /// (trimming defenses).
-    #[must_use]
-    pub fn trimmed_estimate(&self) -> f64 {
-        if self.kept_total == 0 {
-            0.0
-        } else {
-            self.estimate_sum / self.kept_total as f64
-        }
-    }
-
-    /// The raw report stream (EMF baseline).
-    #[must_use]
-    pub fn raw_reports(&self) -> &[f64] {
-        &self.all_reports
-    }
-
-    /// The mechanism in use.
-    #[must_use]
-    pub fn mechanism(&self) -> &Piecewise {
-        &self.mech
-    }
-}
-
-/// Maps an engine injection *percentile* to the attacker's counterfeit
-/// *input* on the LDP substrate: the linear image of `[0, 1]` onto the
-/// input domain `[−1, 1]`. The historical fixed attack (`percentile 1.0`)
-/// maps to the counterfeit input `+1` exactly, so games driven by the
-/// default [`AdversaryPolicy::Fixed`] at 1.0 replay bit-identically; a
-/// mixed or learning attacker lowering its percentile holds a smaller
-/// counterfeit whose protocol-compliant reports are likelier to duck the
-/// trimming cut — the LDP image of the evasion/damage trade-off.
-#[must_use]
-pub fn counterfeit_input(injection_percentile: f64) -> f64 {
-    2.0 * injection_percentile.clamp(0.0, 1.0) - 1.0
-}
-
-impl Scenario for LdpScenario<'_> {
+impl<A: BorrowMut<LdpArena>> Scenario for LdpScenario<'_, A> {
     fn play_round<R: Rng + ?Sized>(
         &mut self,
         _round: usize,
@@ -529,11 +513,12 @@ impl Scenario for LdpScenario<'_> {
         injection: f64,
         rng: &mut R,
     ) -> RoundReport {
+        let bufs = &mut self.arena.borrow_mut().bufs;
         let (report, estimate_delta, kept_delta) = ldp_round(
             self.population,
             &self.mech,
             &self.params,
-            &mut self.arena.bufs,
+            bufs,
             threshold,
             injection,
             rng,
@@ -541,41 +526,9 @@ impl Scenario for LdpScenario<'_> {
         self.estimate_sum += estimate_delta;
         self.kept_total += kept_delta;
         if !self.params.trims {
-            self.all_reports.extend_from_slice(&self.arena.bufs.reports);
+            self.all_reports.extend_from_slice(&bufs.reports);
         }
         report
-    }
-}
-
-/// The arena-backed LDP cell: one seeded run borrowing a worker's
-/// [`LdpArena`], with no raw-report retention or estimate accumulation —
-/// the payoff-grid cell shape.
-#[derive(Debug)]
-struct LdpCell<'a> {
-    population: &'a [f64],
-    mech: Piecewise,
-    arena: &'a mut LdpArena,
-    params: LdpParams,
-}
-
-impl Scenario for LdpCell<'_> {
-    fn play_round<R: Rng + ?Sized>(
-        &mut self,
-        _round: usize,
-        threshold: f64,
-        injection: f64,
-        rng: &mut R,
-    ) -> RoundReport {
-        ldp_round(
-            self.population,
-            &self.mech,
-            &self.params,
-            &mut self.arena.bufs,
-            threshold,
-            injection,
-            rng,
-        )
-        .0
     }
 }
 
@@ -597,45 +550,24 @@ pub fn ldp_defender(defense: LdpDefense, cfg: &LdpSimConfig) -> DefenderPolicy {
 }
 
 /// Runs one repetition of the collection under `defense` and returns the
-/// final mean estimate.
+/// final mean estimate. The attacker holds the historical position
+/// (counterfeit input `+1`, every round). Custom policies, shared boards
+/// and worker-borrowed arenas build the [`Engine`] directly over an
+/// [`LdpScenario`], seeding the defender sub-stream with [`policy_seed`].
 ///
 /// # Panics
 /// Panics if the population is empty or config degenerate.
 #[must_use]
 pub fn run_ldp_collection(population: &[f64], defense: LdpDefense, cfg: &LdpSimConfig) -> f64 {
-    let defender = ldp_defender(defense, cfg);
-    run_ldp_collection_with(population, defense, cfg, Box::new(defender), None)
-}
-
-/// Runs the collection with an arbitrary boxed trimming policy (e.g. a
-/// [`crate::strategy::RandomizedDefender`] mixing over report-percentile
-/// thresholds) in place of the roster defender; `defense` still selects
-/// the estimator path (trimmed mean vs EMF). Pass `board` to share a
-/// [`PublicBoard`](trimgame_stream::board::PublicBoard) an outside
-/// observer (or a board-driven policy) already holds a clone of. The
-/// defender sub-stream is seeded from `cfg.seed` via
-/// [`POLICY_SEED_STREAM`].
-///
-/// # Panics
-/// Panics if the population is empty or config degenerate.
-#[must_use]
-pub fn run_ldp_collection_with(
-    population: &[f64],
-    defense: LdpDefense,
-    cfg: &LdpSimConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-) -> f64 {
-    // The historical attack position: counterfeit input +1, every round.
-    let adversary = AdversaryPolicy::Fixed { percentile: 1.0 };
-    let out = run_ldp_collection_outcome(
-        population,
-        defense,
-        cfg,
-        defender,
-        Box::new(adversary),
-        board,
-    );
+    let mut rng = seeded_rng(cfg.seed);
+    let scenario = LdpScenario::new(population, defense, cfg, LdpArena::new(), &mut rng);
+    let out = Engine::new(
+        scenario,
+        ldp_defender(defense, cfg),
+        AdversaryPolicy::Fixed { percentile: 1.0 },
+    )
+    .with_policy_seed(policy_seed(cfg.seed))
+    .run(cfg.rounds, &mut rng);
     match defense {
         LdpDefense::Emf => {
             let beta = cfg.attack_ratio / (1.0 + cfg.attack_ratio);
@@ -644,76 +576,6 @@ pub fn run_ldp_collection_with(
         }
         _ => out.scenario.trimmed_estimate(),
     }
-}
-
-/// Runs the collection with arbitrary boxed policies on *both* sides and
-/// returns the raw [`EngineOutcome`](crate::engine::EngineOutcome) —
-/// utility trajectories, totals, board and the scenario with its
-/// accumulated estimate. The attacker's injection percentile maps to a
-/// counterfeit input through [`counterfeit_input`], so mixed and learning
-/// attackers play a real position game on the report stream. This is the
-/// entry point the substrate-generic equilibrium estimator drives; the
-/// collector's per-round loss is `−u_c / rounds`, as on the other
-/// substrates.
-///
-/// # Panics
-/// Panics if the population is empty or config degenerate.
-#[must_use]
-pub fn run_ldp_collection_outcome<'a>(
-    population: &'a [f64],
-    defense: LdpDefense,
-    cfg: &LdpSimConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-) -> crate::engine::EngineOutcome<LdpScenario<'a>> {
-    let mut rng = seeded_rng(cfg.seed);
-    let scenario = LdpScenario::new(population, defense, cfg, &mut rng);
-    let mut engine = Engine::with_policies(scenario, defender, adversary)
-        .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM));
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run(cfg.rounds, &mut rng)
-}
-
-/// The allocation-free LDP run: one seeded collection over the
-/// worker-owned [`LdpArena`] (calibration table, prefix sums, report and
-/// trim buffers) recording into the reusable
-/// [`EngineScratch`](crate::engine::EngineScratch). No raw-report
-/// retention and no trimmed-mean estimate — trajectory finals and totals
-/// are bit-identical to [`run_ldp_collection_outcome`], the LDP
-/// payoff-grid cell path.
-///
-/// # Panics
-/// Panics if the population is empty or config degenerate.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // one arg per game ingredient, like the outcome entry point
-pub fn run_ldp_collection_with_scratch(
-    population: &[f64],
-    defense: LdpDefense,
-    cfg: &LdpSimConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-    arena: &mut LdpArena,
-    scratch: &mut crate::engine::EngineScratch,
-) -> crate::engine::EngineRun {
-    let mut rng = seeded_rng(cfg.seed);
-    let mech = Piecewise::new(cfg.epsilon);
-    let params = ldp_calibrate_cached(population, &mech, defense, cfg, arena, &mut rng);
-    let cell = LdpCell {
-        population,
-        mech,
-        arena,
-        params,
-    };
-    let mut engine = Engine::with_policies(cell, defender, adversary)
-        .with_policy_seed(derive_seed(cfg.seed, POLICY_SEED_STREAM));
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run_with_scratch(cfg.rounds, &mut rng, scratch)
 }
 
 /// A deterministic honest-report calibration sample: `n` reports of the
@@ -756,6 +618,9 @@ pub fn ldp_mse(population: &[f64], defense: LdpDefense, cfg: &LdpSimConfig, reps
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::AttackPolicy;
+    use crate::engine::{EngineRun, EngineScratch};
+    use crate::strategy::ThresholdPolicy;
 
     fn population() -> Vec<f64> {
         // Taxi-like bounded skewed population.
@@ -773,10 +638,40 @@ mod tests {
         assert_eq!(names, vec!["Titfortat", "Elastic0.1", "Elastic0.5", "EMF"]);
     }
 
+    /// An engine over `scenario` seeded the way [`run_ldp_collection`]
+    /// seeds it.
+    fn engine<'p, A: BorrowMut<LdpArena>>(
+        scenario: LdpScenario<'p, A>,
+        seed: u64,
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn AttackPolicy>,
+    ) -> Engine<LdpScenario<'p, A>> {
+        Engine::with_policies(scenario, defender, adversary).with_policy_seed(policy_seed(seed))
+    }
+
+    /// One Tit-for-tat cell against the fixed 0.97 attack on `arena`,
+    /// recording into `scratch` — the payoff-grid cell shape.
+    fn tft_cell<A: BorrowMut<LdpArena>>(
+        pop: &[f64],
+        cfg: &LdpSimConfig,
+        arena: A,
+        scratch: &mut EngineScratch,
+    ) -> EngineRun {
+        let mut rng = seeded_rng(cfg.seed);
+        let scenario = LdpScenario::new(pop, LdpDefense::TitForTat, cfg, arena, &mut rng);
+        engine(
+            scenario,
+            cfg.seed,
+            Box::new(ldp_defender(LdpDefense::TitForTat, cfg)),
+            Box::new(AdversaryPolicy::Fixed { percentile: 0.97 }),
+        )
+        .run_with_scratch(cfg.rounds, &mut rng, scratch)
+    }
+
     #[test]
     fn ldp_scratch_cells_replay_the_outcome_path_bit_for_bit() {
-        use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
+        // One warm arena + one engine scratch across heterogeneous cells:
+        // every cell must reproduce a run on a fresh arena exactly.
         let pop = population();
         let mut arena = LdpArena::new();
         let mut scratch = EngineScratch::new();
@@ -796,38 +691,17 @@ mod tests {
                 sketch_epsilon,
                 ..LdpSimConfig::new(3.0, 0.25, seed)
             };
-            let policies = || {
-                (
-                    Box::new(ldp_defender(LdpDefense::TitForTat, &cfg)) as Box<dyn ThresholdPolicy>,
-                    Box::new(AdversaryPolicy::Fixed { percentile: 0.97 })
-                        as Box<dyn crate::adversary::AttackPolicy>,
-                )
-            };
-            let (d, a) = policies();
-            let owned = run_ldp_collection_outcome(&pop, LdpDefense::TitForTat, &cfg, d, a, None);
-            let (d, a) = policies();
-            let lean = run_ldp_collection_with_scratch(
-                &pop,
-                LdpDefense::TitForTat,
-                &cfg,
-                d,
-                a,
-                None,
-                &mut arena,
-                &mut scratch,
-            );
-            assert_eq!(lean.totals, owned.totals, "soft={soft} seed={seed}");
-            assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-            assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
-            assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-            assert_eq!(scratch.qualities(), owned.qualities.as_slice());
+            let mut fresh_scratch = EngineScratch::new();
+            let fresh = tft_cell(&pop, &cfg, LdpArena::new(), &mut fresh_scratch);
+            let warm = tft_cell(&pop, &cfg, &mut arena, &mut scratch);
+            assert_eq!(warm, fresh, "soft={soft} seed={seed}");
+            assert_eq!(scratch.thresholds(), fresh_scratch.thresholds());
+            assert_eq!(scratch.qualities(), fresh_scratch.qualities());
         }
     }
 
     #[test]
     fn ldp_calibration_cache_replays_bit_for_bit() {
-        use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
         // The payoff-grid shape: cells differ in threshold but share the
         // repetition seed. The second run on a warm arena hits the
         // calibration cache and must match a cold run from a fresh arena
@@ -842,17 +716,7 @@ mod tests {
                 sketch_epsilon: Some(0.02),
                 ..LdpSimConfig::new(3.0, 0.2, seed)
             };
-            let mut scratch = EngineScratch::new();
-            run_ldp_collection_with_scratch(
-                &pop,
-                LdpDefense::TitForTat,
-                &cfg,
-                Box::new(ldp_defender(LdpDefense::TitForTat, &cfg)),
-                Box::new(AdversaryPolicy::Fixed { percentile: 0.97 }),
-                None,
-                arena,
-                &mut scratch,
-            )
+            tft_cell(&pop, &cfg, arena, &mut EngineScratch::new())
         };
         let mut warm = LdpArena::new();
         let _ = run(&mut warm, 0.90, 5); // primes the cache for seed 5
@@ -865,8 +729,6 @@ mod tests {
 
     #[test]
     fn ldp_exact_path_calibration_cache_replays_bit_for_bit() {
-        use crate::adversary::AdversaryPolicy;
-        use crate::engine::EngineScratch;
         // Same contract as the sketch-mode test, on the exact (no
         // sketch) table game: the second run on a warm arena restores
         // the calibration buffers and RNG state from the cache and must
@@ -883,17 +745,7 @@ mod tests {
                 sketch_epsilon: sketch,
                 ..LdpSimConfig::new(3.0, 0.2, seed)
             };
-            let mut scratch = EngineScratch::new();
-            run_ldp_collection_with_scratch(
-                &pop,
-                LdpDefense::TitForTat,
-                &cfg,
-                Box::new(ldp_defender(LdpDefense::TitForTat, &cfg)),
-                Box::new(AdversaryPolicy::Fixed { percentile: 0.97 }),
-                None,
-                arena,
-                &mut scratch,
-            )
+            tft_cell(&pop, &cfg, arena, &mut EngineScratch::new())
         };
         let mut warm = LdpArena::new();
         // Prime both the sketch entry (would poison the exact run if
@@ -1030,11 +882,21 @@ mod tests {
             ..LdpSimConfig::new(3.0, 0.2, 13)
         };
         let mixed = || {
-            Box::new(RandomizedDefender::new(&[cfg.hard, cfg.soft], &[0.5, 0.5]).unwrap())
-                as Box<dyn ThresholdPolicy>
+            let mut rng = seeded_rng(cfg.seed);
+            let scenario =
+                LdpScenario::new(&pop, LdpDefense::TitForTat, &cfg, LdpArena::new(), &mut rng);
+            engine(
+                scenario,
+                cfg.seed,
+                Box::new(RandomizedDefender::new(&[cfg.hard, cfg.soft], &[0.5, 0.5]).unwrap()),
+                Box::new(AdversaryPolicy::Fixed { percentile: 1.0 }),
+            )
+            .run(cfg.rounds, &mut rng)
+            .scenario
+            .trimmed_estimate()
         };
-        let a = run_ldp_collection_with(&pop, LdpDefense::TitForTat, &cfg, mixed(), None);
-        let b = run_ldp_collection_with(&pop, LdpDefense::TitForTat, &cfg, mixed(), None);
+        let a = mixed();
+        let b = mixed();
         assert_eq!(a, b, "randomized runs must replay under a fixed seed");
         assert!(a.is_finite());
         // The mixed trim stays within the domain of sane estimates.

@@ -13,9 +13,10 @@
 //! [`crate::simulation`]; this module adds the geometry, the retained
 //! training set, and the three learners' metrics.
 
-use crate::engine::{Engine, EngineOutcome, EngineTotals, RoundReport, Scenario};
+use crate::engine::{policy_seed, Engine, EngineTotals, RoundReport, Scenario};
 use crate::simulation::Scheme;
 use rand::Rng;
+use std::borrow::BorrowMut;
 use trimgame_datasets::Dataset;
 use trimgame_ml::kmeans::{KMeans, KMeansConfig};
 use trimgame_ml::som::{Som, SomConfig};
@@ -184,8 +185,8 @@ pub struct MlBufs {
 
 /// A worker's reusable ML game state: the shared clean model plus the
 /// round buffers. Build one per worker ([`MlArena::new`] fits the model;
-/// [`MlArena::with_model`] shares an already-fitted one) and reuse it
-/// across seeded runs via [`collect_poisoned_with_scratch`].
+/// [`MlArena::with_model`] shares an already-fitted one) and lend it
+/// (`&mut`) to any number of seeded [`MlScenario`] runs.
 #[derive(Debug, Clone)]
 pub struct MlArena {
     model: std::sync::Arc<MlModel>,
@@ -263,12 +264,92 @@ impl MlParams {
     }
 }
 
-/// One ML round, shared by the owned [`MlScenario`] and the arena-backed
-/// cell of [`collect_poisoned_with_scratch`]: benign sample into the flat
-/// batch matrix, the colluding Sybil point mass at the injection score
-/// percentile, score trimming at the cut, payoff accounting. The batch
-/// matrix, labels, provenance and kept mask are left in `bufs` for
-/// callers that record retained rows.
+/// The feature-vector collection workload as an
+/// [`engine::Scenario`](crate::engine::Scenario).
+///
+/// The trimming game is played on the classic distance scalar: each row's
+/// anomaly score is its Euclidean distance to the nearest clean centroid,
+/// and both the trimming cut and the injection distance resolve
+/// percentiles against the clean score distribution (the public quality
+/// standard).
+///
+/// The scenario plays over an [`MlArena`] it either owns (`A = MlArena`,
+/// the default) or borrows from a worker (`A = &mut MlArena`, so
+/// back-to-back runs share the fitted model and every round buffer).
+/// [`MlScenario::new`] keeps only what the engine aggregates;
+/// [`MlScenario::recording`] also accumulates the retained rows into the
+/// training set the learners consume ([`MlScenario::into_collected`]).
+#[derive(Debug, Clone)]
+pub struct MlScenario<'d, A: BorrowMut<MlArena> = MlArena> {
+    data: &'d Dataset,
+    arena: A,
+    params: MlParams,
+    record: bool,
+    /// Retained rows, row-major (recording scenarios only).
+    rows: Vec<f64>,
+    labels: Vec<usize>,
+    is_poison: Vec<bool>,
+}
+
+impl<'d, A: BorrowMut<MlArena>> MlScenario<'d, A> {
+    /// Builds one run of `cfg` over the clean dataset and `arena` (whose
+    /// model must have been fitted on `data`), keeping no retained rows.
+    #[must_use]
+    pub fn new(data: &'d Dataset, mut arena: A, cfg: &MlSimConfig) -> Self {
+        let params = MlParams::new(&arena.borrow().model, data, cfg);
+        arena.borrow_mut().ensure_sketch(cfg.sketch_epsilon);
+        Self {
+            data,
+            arena,
+            params,
+            record: false,
+            rows: Vec::new(),
+            labels: Vec::new(),
+            is_poison: Vec::new(),
+        }
+    }
+
+    /// [`MlScenario::new`] that also accumulates every retained row.
+    #[must_use]
+    pub fn recording(data: &'d Dataset, arena: A, cfg: &MlSimConfig) -> Self {
+        Self {
+            record: true,
+            ..Self::new(data, arena, cfg)
+        }
+    }
+
+    /// Converts the accumulated retained rows into a [`CollectedSet`] for
+    /// `scheme`, taking the received/trimmed counts from the engine run's
+    /// [`EngineTotals`]. A non-recording scenario yields an empty
+    /// retained set.
+    #[must_use]
+    pub fn into_collected(self, scheme: Scheme, totals: &EngineTotals) -> CollectedSet {
+        let retained = Dataset::new(
+            format!("{}-{}", self.data.name(), scheme.name()),
+            self.data.cols(),
+            self.rows,
+            Some(self.labels),
+            self.data.clusters(),
+        );
+        debug_assert!(
+            !self.record || totals.poison_survived == self.is_poison.iter().filter(|&&p| p).count(),
+            "engine totals and retained provenance must agree"
+        );
+        CollectedSet {
+            retained,
+            is_poison: self.is_poison,
+            poison_received: totals.poison_received,
+            poison_survived: totals.poison_survived,
+            benign_trimmed: totals.benign_trimmed,
+        }
+    }
+}
+
+/// One ML round: benign sample into the flat batch matrix, the colluding
+/// Sybil point mass at the injection score percentile, score trimming at
+/// the cut, payoff accounting. The batch matrix, labels, provenance and
+/// kept mask are left in `bufs` for a recording scenario to copy. Kept
+/// out of line like the scalar round (see `simulation::scalar_round`).
 #[allow(clippy::too_many_arguments)] // one arg per game ingredient, like the LDP round
 fn ml_round<R: Rng + ?Sized>(
     data: &Dataset,
@@ -393,79 +474,7 @@ fn ml_round<R: Rng + ?Sized>(
     }
 }
 
-/// The feature-vector collection workload as an
-/// [`engine::Scenario`](crate::engine::Scenario).
-///
-/// The trimming game is played on the classic distance scalar: each row's
-/// anomaly score is its Euclidean distance to the nearest clean centroid,
-/// and both the trimming cut and the injection distance resolve
-/// percentiles against the clean score distribution (the public quality
-/// standard). The retained rows accumulate into the training set the
-/// learners consume.
-#[derive(Debug, Clone)]
-pub struct MlScenario<'a> {
-    data: &'a Dataset,
-    arena: MlArena,
-    params: MlParams,
-    rows: Vec<Vec<f64>>,
-    labels: Vec<usize>,
-    is_poison: Vec<bool>,
-}
-
-impl<'a> MlScenario<'a> {
-    /// Builds the scenario over the clean dataset (fits the clean model;
-    /// see [`MlScenario::with_arena`] to share a fitted one).
-    ///
-    /// # Panics
-    /// Panics if the dataset is unlabelled or smaller than two rows.
-    #[must_use]
-    pub fn new(data: &'a Dataset, cfg: &MlSimConfig) -> Self {
-        Self::with_arena(data, MlArena::new(data), cfg)
-    }
-
-    /// Builds the scenario over a pre-fitted arena (the model must have
-    /// been fitted on `data`).
-    #[must_use]
-    pub fn with_arena(data: &'a Dataset, mut arena: MlArena, cfg: &MlSimConfig) -> Self {
-        let params = MlParams::new(&arena.model, data, cfg);
-        arena.ensure_sketch(cfg.sketch_epsilon);
-        Self {
-            data,
-            arena,
-            params,
-            rows: Vec::new(),
-            labels: Vec::new(),
-            is_poison: Vec::new(),
-        }
-    }
-
-    /// Converts the accumulated retained rows into a [`CollectedSet`] for
-    /// `scheme`, taking the received/trimmed counts from the engine run's
-    /// [`EngineTotals`].
-    #[must_use]
-    pub fn into_collected(self, scheme: Scheme, totals: &EngineTotals) -> CollectedSet {
-        let retained = Dataset::from_rows(
-            format!("{}-{}", self.data.name(), scheme.name()),
-            &self.rows,
-            Some(self.labels),
-            self.data.clusters(),
-        );
-        debug_assert_eq!(
-            totals.poison_survived,
-            self.is_poison.iter().filter(|&&p| p).count(),
-            "engine totals and retained provenance must agree"
-        );
-        CollectedSet {
-            retained,
-            is_poison: self.is_poison,
-            poison_received: totals.poison_received,
-            poison_survived: totals.poison_survived,
-            benign_trimmed: totals.benign_trimmed,
-        }
-    }
-}
-
-impl Scenario for MlScenario<'_> {
+impl<A: BorrowMut<MlArena>> Scenario for MlScenario<'_, A> {
     fn play_round<R: Rng + ?Sized>(
         &mut self,
         _round: usize,
@@ -473,194 +482,58 @@ impl Scenario for MlScenario<'_> {
         injection: f64,
         rng: &mut R,
     ) -> RoundReport {
-        let arena = &mut self.arena;
+        let MlArena {
+            model,
+            bufs,
+            sketch,
+        } = self.arena.borrow_mut();
         let report = ml_round(
             self.data,
-            &arena.model,
+            model,
             &self.params,
-            &mut arena.bufs,
-            arena.sketch.as_ref().map(|(_, s)| s),
+            bufs,
+            sketch.as_ref().map(|(_, s)| s),
             threshold,
             injection,
             rng,
         );
-        // Accumulate the retained training set.
-        let bufs = &self.arena.bufs;
-        let cols = self.data.cols();
-        for (i, keep) in bufs.trim.kept_mask().iter().enumerate() {
-            if *keep {
-                self.rows.push(bufs.rows[i * cols..(i + 1) * cols].to_vec());
-                self.labels.push(bufs.labels[i]);
-                self.is_poison.push(bufs.is_poison[i]);
+        if self.record {
+            let cols = self.data.cols();
+            for (i, keep) in bufs.trim.kept_mask().iter().enumerate() {
+                if *keep {
+                    self.rows
+                        .extend_from_slice(&bufs.rows[i * cols..(i + 1) * cols]);
+                    self.labels.push(bufs.labels[i]);
+                    self.is_poison.push(bufs.is_poison[i]);
+                }
             }
         }
         report
     }
 }
 
-/// The arena-backed ML cell: one seeded run borrowing a worker's
-/// [`MlArena`], with no retained-set accumulation — the payoff-grid cell
-/// shape.
-#[derive(Debug)]
-struct MlCell<'a> {
-    data: &'a Dataset,
-    arena: &'a mut MlArena,
-    params: MlParams,
-}
-
-impl Scenario for MlCell<'_> {
-    fn play_round<R: Rng + ?Sized>(
-        &mut self,
-        _round: usize,
-        threshold: f64,
-        injection: f64,
-        rng: &mut R,
-    ) -> RoundReport {
-        let arena = &mut *self.arena;
-        ml_round(
-            self.data,
-            &arena.model,
-            &self.params,
-            &mut arena.bufs,
-            arena.sketch.as_ref().map(|(_, s)| s),
-            threshold,
-            injection,
-            rng,
-        )
-    }
-}
-
-/// Runs the poisoned collection and returns the retained training set.
-///
-/// # Panics
-/// Panics if the dataset is unlabelled or smaller than the batch size.
-#[must_use]
-pub fn collect_poisoned(data: &Dataset, cfg: &MlSimConfig) -> CollectedSet {
-    collect_poisoned_with_model(data, cfg, &std::sync::Arc::new(MlModel::fit(data)))
-}
-
-/// [`collect_poisoned`] over an already-fitted shared clean model — the
-/// retained-set path of the figure experiments, which replay many
-/// (scheme, ratio, seed) cells over one dataset: the k-means fit happens
-/// once per dataset instead of once per cell, and the cells fan out
-/// across workers without contention (the model is behind an `Arc`).
-/// Results are bit-identical to [`collect_poisoned`] on a freshly fitted
-/// model.
+/// Runs the poisoned collection with the scheme's own policies over
+/// `arena` and returns the retained training set. Fit a fresh model with
+/// [`MlArena::new`], or share one fitted model across many (scheme,
+/// ratio, seed) cells with [`MlArena::with_model`] — results are
+/// bit-identical either way. Custom policies, shared boards and
+/// worker-borrowed arenas build the [`Engine`] directly over an
+/// [`MlScenario`], seeding the defender sub-stream with [`policy_seed`].
 ///
 /// # Panics
 /// Panics if the dataset is unlabelled or smaller than the batch size
-/// (the model must have been fitted on `data`).
+/// (the arena's model must have been fitted on `data`).
 #[must_use]
-pub fn collect_poisoned_with_model(
-    data: &Dataset,
-    cfg: &MlSimConfig,
-    model: &std::sync::Arc<MlModel>,
-) -> CollectedSet {
-    let defender = cfg.scheme.defender(cfg.tth, 1.0, cfg.red);
-    let adversary = cfg.scheme.adversary(cfg.tth);
-    let mut rng = seeded_rng(cfg.seed);
-    let arena = MlArena::with_model(std::sync::Arc::clone(model));
-    let scenario = MlScenario::with_arena(data, arena, cfg);
-    let engine = Engine::with_policies(scenario, Box::new(defender), Box::new(adversary))
-        .with_policy_seed(trimgame_numerics::rand_ext::derive_seed(
-            cfg.seed,
-            crate::simulation::POLICY_SEED_STREAM,
-        ));
-    let out = engine.run(cfg.rounds, &mut rng);
+pub fn collect_poisoned(data: &Dataset, cfg: &MlSimConfig, arena: MlArena) -> CollectedSet {
+    let scenario = MlScenario::recording(data, arena, cfg);
+    let out = Engine::new(
+        scenario,
+        cfg.scheme.defender(cfg.tth, 1.0, cfg.red),
+        cfg.scheme.adversary(cfg.tth),
+    )
+    .with_policy_seed(policy_seed(cfg.seed))
+    .run(cfg.rounds, &mut seeded_rng(cfg.seed));
     out.scenario.into_collected(cfg.scheme, &out.totals)
-}
-
-/// Runs the poisoned collection with arbitrary boxed policies — randomized
-/// defenders and board-driven attackers play the feature-vector game
-/// exactly as the closed roster does (the anomaly-score substrate is
-/// unchanged; only the position dynamics differ). Pass `board` to share a
-/// [`PublicBoard`](trimgame_stream::board::PublicBoard) the attacker
-/// already holds a clone of (an
-/// [`AdaptiveAttacker`](crate::adversary::AdaptiveAttacker) without it
-/// reads an empty history and degenerates to its fallback). `cfg.scheme`
-/// still labels the resulting [`CollectedSet`]. The defender sub-stream
-/// is seeded from `cfg.seed` via
-/// [`POLICY_SEED_STREAM`](crate::simulation::POLICY_SEED_STREAM).
-///
-/// # Panics
-/// Panics if the dataset is unlabelled or smaller than the batch size.
-#[must_use]
-pub fn collect_poisoned_with(
-    data: &Dataset,
-    cfg: &MlSimConfig,
-    defender: Box<dyn crate::strategy::ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-) -> CollectedSet {
-    let out = collect_poisoned_outcome(data, cfg, defender, adversary, board);
-    out.scenario.into_collected(cfg.scheme, &out.totals)
-}
-
-/// Runs the poisoned collection and returns the raw
-/// [`EngineOutcome`] — utility trajectories, totals, board and the
-/// scenario with its retained payload. This is the entry point the
-/// substrate-generic equilibrium estimator plays the feature-vector game
-/// through: the collector's per-round loss is `−u_c / rounds`, exactly as
-/// on the scalar substrate. Use
-/// [`MlScenario::into_collected`] on the result to recover a
-/// [`CollectedSet`].
-///
-/// # Panics
-/// Panics if the dataset is unlabelled or smaller than the batch size.
-#[must_use]
-pub fn collect_poisoned_outcome<'a>(
-    data: &'a Dataset,
-    cfg: &MlSimConfig,
-    defender: Box<dyn crate::strategy::ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-) -> EngineOutcome<MlScenario<'a>> {
-    let mut rng = seeded_rng(cfg.seed);
-    let scenario = MlScenario::new(data, cfg);
-    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(cfg.seed, crate::simulation::POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run(cfg.rounds, &mut rng)
-}
-
-/// The allocation-free ML run: one seeded collection over the
-/// worker-owned [`MlArena`] (shared fitted model + round buffers)
-/// recording into the reusable
-/// [`EngineScratch`](crate::engine::EngineScratch). No retained-set
-/// accumulation; trajectory finals and totals are bit-identical to
-/// [`collect_poisoned_outcome`] — the ML payoff-grid cell path.
-///
-/// # Panics
-/// Panics if the arena's model does not match `data` or the config is
-/// degenerate.
-#[must_use]
-pub fn collect_poisoned_with_scratch(
-    data: &Dataset,
-    cfg: &MlSimConfig,
-    defender: Box<dyn crate::strategy::ThresholdPolicy>,
-    adversary: Box<dyn crate::adversary::AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-    arena: &mut MlArena,
-    scratch: &mut crate::engine::EngineScratch,
-) -> crate::engine::EngineRun {
-    let mut rng = seeded_rng(cfg.seed);
-    let params = MlParams::new(&arena.model, data, cfg);
-    arena.ensure_sketch(cfg.sketch_epsilon);
-    let cell = MlCell {
-        data,
-        arena,
-        params,
-    };
-    let mut engine = Engine::with_policies(cell, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(cfg.seed, crate::simulation::POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run_with_scratch(cfg.rounds, &mut rng, scratch)
 }
 
 /// The sorted clean anomaly-score distribution of `data`: each row's
@@ -737,7 +610,21 @@ pub fn som_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::AttackPolicy;
+    use crate::engine::EngineScratch;
+    use crate::strategy::{DefenderPolicy, ThresholdPolicy};
     use trimgame_datasets::synthetic::{GaussianComponent, GmmSpec};
+
+    /// An engine over `scenario` seeded the way [`collect_poisoned`]
+    /// seeds it.
+    fn engine<'d, A: BorrowMut<MlArena>>(
+        scenario: MlScenario<'d, A>,
+        seed: u64,
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn AttackPolicy>,
+    ) -> Engine<MlScenario<'d, A>> {
+        Engine::with_policies(scenario, defender, adversary).with_policy_seed(policy_seed(seed))
+    }
 
     fn blobs(seed: u64) -> Dataset {
         let spec = GmmSpec::new(vec![
@@ -763,7 +650,7 @@ mod tests {
     #[test]
     fn ostrich_retains_all_poison() {
         let data = blobs(1);
-        let set = collect_poisoned(&data, &small_cfg(Scheme::Ostrich, 0.2));
+        let set = collect_poisoned(&data, &small_cfg(Scheme::Ostrich, 0.2), MlArena::new(&data));
         assert_eq!(set.poison_survived, set.poison_received);
         assert_eq!(set.benign_trimmed, 0);
         assert!(set.surviving_poison_fraction() > 0.1);
@@ -775,8 +662,13 @@ mod tests {
         // percentiles; compare kmeans centroid displacement instead of raw
         // counts.
         let data = blobs(2);
-        let ostrich = collect_poisoned(&data, &small_cfg(Scheme::Ostrich, 0.4));
-        let elastic = collect_poisoned(&data, &small_cfg(Scheme::Elastic(0.5), 0.4));
+        let ostrich =
+            collect_poisoned(&data, &small_cfg(Scheme::Ostrich, 0.4), MlArena::new(&data));
+        let elastic = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::Elastic(0.5), 0.4),
+            MlArena::new(&data),
+        );
         let (_, d_ostrich) = kmeans_metrics(&ostrich, &data);
         let (_, d_elastic) = kmeans_metrics(&elastic, &data);
         assert!(
@@ -788,7 +680,11 @@ mod tests {
     #[test]
     fn collected_set_has_consistent_provenance() {
         let data = blobs(3);
-        let set = collect_poisoned(&data, &small_cfg(Scheme::Baseline09, 0.2));
+        let set = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::Baseline09, 0.2),
+            MlArena::new(&data),
+        );
         assert_eq!(set.retained.rows(), set.is_poison.len());
         let survived = set.is_poison.iter().filter(|&&p| p).count();
         assert_eq!(survived, set.poison_survived);
@@ -798,7 +694,11 @@ mod tests {
     #[test]
     fn zero_attack_keeps_everything_clean() {
         let data = blobs(4);
-        let set = collect_poisoned(&data, &small_cfg(Scheme::TitForTat, 0.0));
+        let set = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::TitForTat, 0.0),
+            MlArena::new(&data),
+        );
         assert_eq!(set.poison_received, 0);
         assert_eq!(set.surviving_poison_fraction(), 0.0);
         // k-means on clean retained data lands near the truth.
@@ -809,8 +709,12 @@ mod tests {
     #[test]
     fn svm_accuracy_degrades_with_unchecked_poison() {
         let data = blobs(5);
-        let clean = collect_poisoned(&data, &small_cfg(Scheme::TitForTat, 0.0));
-        let dirty = collect_poisoned(&data, &small_cfg(Scheme::Ostrich, 0.5));
+        let clean = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::TitForTat, 0.0),
+            MlArena::new(&data),
+        );
+        let dirty = collect_poisoned(&data, &small_cfg(Scheme::Ostrich, 0.5), MlArena::new(&data));
         let acc_clean = svm_accuracy(&clean, &data, 17);
         let acc_dirty = svm_accuracy(&dirty, &data, 17);
         assert!(
@@ -822,7 +726,11 @@ mod tests {
     #[test]
     fn som_structure_reports_classes() {
         let data = blobs(6);
-        let set = collect_poisoned(&data, &small_cfg(Scheme::Elastic(0.1), 0.1));
+        let set = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::Elastic(0.1), 0.1),
+            MlArena::new(&data),
+        );
         let (separated, footprint) = som_structure(&set, &data, SomConfig::small(), 19);
         assert!(footprint.len() >= 2);
         assert!(separated <= footprint.len());
@@ -832,8 +740,16 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let data = blobs(7);
-        let a = collect_poisoned(&data, &small_cfg(Scheme::Elastic(0.5), 0.2));
-        let b = collect_poisoned(&data, &small_cfg(Scheme::Elastic(0.5), 0.2));
+        let a = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::Elastic(0.5), 0.2),
+            MlArena::new(&data),
+        );
+        let b = collect_poisoned(
+            &data,
+            &small_cfg(Scheme::Elastic(0.5), 0.2),
+            MlArena::new(&data),
+        );
         assert_eq!(a.retained.values(), b.retained.values());
         assert_eq!(a.poison_survived, b.poison_survived);
     }
@@ -844,13 +760,14 @@ mod tests {
         let data = blobs(8);
         let cfg = small_cfg(Scheme::Baseline09, 0.3);
         let run_once = || {
-            collect_poisoned_with(
-                &data,
-                &cfg,
+            let out = engine(
+                MlScenario::recording(&data, MlArena::new(&data), &cfg),
+                cfg.seed,
                 Box::new(RandomizedDefender::new(&[0.85, 0.95], &[0.5, 0.5]).unwrap()),
                 Box::new(cfg.scheme.adversary(cfg.tth)),
-                None,
             )
+            .run(cfg.rounds, &mut seeded_rng(cfg.seed));
+            out.scenario.into_collected(cfg.scheme, &out.totals)
         };
         let a = run_once();
         let b = run_once();
@@ -862,8 +779,9 @@ mod tests {
 
     #[test]
     fn ml_scratch_cells_replay_the_outcome_path_bit_for_bit() {
-        use crate::engine::EngineScratch;
-        use crate::strategy::DefenderPolicy;
+        // One warm arena + one engine scratch across heterogeneous cells:
+        // every non-recording cell must reproduce a recording run on a
+        // freshly fitted arena exactly.
         let data = blobs(11);
         let mut arena = MlArena::new(&data);
         let mut scratch = EngineScratch::new();
@@ -888,21 +806,26 @@ mod tests {
             };
             let policies = || {
                 (
-                    Box::new(DefenderPolicy::Fixed { tth })
-                        as Box<dyn crate::strategy::ThresholdPolicy>,
-                    Box::new(cfg.scheme.adversary(tth)) as Box<dyn crate::adversary::AttackPolicy>,
+                    Box::new(DefenderPolicy::Fixed { tth }) as Box<dyn ThresholdPolicy>,
+                    Box::new(cfg.scheme.adversary(tth)) as Box<dyn AttackPolicy>,
                 )
             };
             let (d, a) = policies();
-            let owned = collect_poisoned_outcome(&data, &cfg, d, a, None);
+            let mut fresh_scratch = EngineScratch::new();
+            let fresh = engine(
+                MlScenario::recording(&data, MlArena::new(&data), &cfg),
+                seed,
+                d,
+                a,
+            )
+            .run_with_scratch(cfg.rounds, &mut seeded_rng(seed), &mut fresh_scratch);
             let (d, a) = policies();
-            let lean =
-                collect_poisoned_with_scratch(&data, &cfg, d, a, None, &mut arena, &mut scratch);
-            assert_eq!(lean.totals, owned.totals, "tth={tth} seed={seed}");
-            assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-            assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
-            assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-            assert_eq!(scratch.injections(), owned.injections.as_slice());
+            let warm = engine(MlScenario::new(&data, &mut arena, &cfg), seed, d, a)
+                .run_with_scratch(cfg.rounds, &mut seeded_rng(seed), &mut scratch);
+            assert_eq!(warm, fresh, "tth={tth} seed={seed}");
+            assert_eq!(scratch.thresholds(), fresh_scratch.thresholds());
+            assert_eq!(scratch.injections(), fresh_scratch.injections());
+            assert_eq!(scratch.qualities(), fresh_scratch.qualities());
         }
     }
 
@@ -915,24 +838,24 @@ mod tests {
         // exact path grants only interpolation slack. Mirrors the scalar
         // substrate's contract.
         use crate::adversary::AdversaryPolicy;
-        use crate::strategy::DefenderPolicy;
         let data = blobs(12);
+        let mut arena = MlArena::new(&data);
         let tth = 0.9;
         let eps = 0.02;
-        let margin_of = |sketch_epsilon: Option<f64>| -> f64 {
+        let mut margin_of = |sketch_epsilon: Option<f64>| -> f64 {
             let mut extra: f64 = 0.0;
             let mut a = tth;
             while a <= tth + 2.5 * eps {
                 let mut cfg = small_cfg(Scheme::BaselineStatic, 0.2);
                 cfg.rounds = 1;
                 cfg.sketch_epsilon = sketch_epsilon;
-                let out = collect_poisoned_outcome(
-                    &data,
-                    &cfg,
+                let out = engine(
+                    MlScenario::new(&data, &mut arena, &cfg),
+                    cfg.seed,
                     Box::new(DefenderPolicy::Fixed { tth }),
                     Box::new(AdversaryPolicy::Fixed { percentile: a }),
-                    None,
-                );
+                )
+                .run(cfg.rounds, &mut seeded_rng(cfg.seed));
                 assert!(out.totals.poison_received > 0);
                 if out.totals.poison_survived == out.totals.poison_received {
                     extra = extra.max(a - tth);
@@ -954,19 +877,20 @@ mod tests {
     #[test]
     fn adaptive_attacker_sees_the_shared_board() {
         use crate::adversary::AdaptiveAttacker;
-        use crate::strategy::DefenderPolicy;
         use trimgame_stream::board::PublicBoard;
         let data = blobs(9);
         let cfg = small_cfg(Scheme::Baseline09, 0.3);
         let board = PublicBoard::new();
         let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
-        let set = collect_poisoned_with(
-            &data,
-            &cfg,
+        let out = engine(
+            MlScenario::recording(&data, MlArena::new(&data), &cfg),
+            cfg.seed,
             Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
             Box::new(attacker),
-            Some(board.clone()),
-        );
+        )
+        .with_board(board.clone())
+        .run(cfg.rounds, &mut seeded_rng(cfg.seed));
+        let set = out.scenario.into_collected(cfg.scheme, &out.totals);
         // The engine posted every round onto the shared board...
         assert_eq!(board.len(), cfg.rounds);
         // ...so after the fallback opener the attacker rode just below the

@@ -13,18 +13,17 @@
 //! plus the benign trim fraction (the overhead `T`). Cumulative series
 //! feed the Section IV analytical checks in [`crate::lagrange`].
 
-use crate::adversary::{AdversaryPolicy, AttackPolicy};
-use crate::engine::{Engine, EngineOutcome, EngineRun, EngineScratch, RoundReport, Scenario};
+use crate::adversary::AdversaryPolicy;
+use crate::engine::{policy_seed, Engine, RoundReport, Scenario};
 use crate::lagrange::UtilityTrajectory;
-use crate::strategy::{DefenderPolicy, ThresholdPolicy};
+use crate::strategy::DefenderPolicy;
 use rand::Rng;
-use std::borrow::Cow;
+use std::borrow::{BorrowMut, Cow};
 use trimgame_datasets::poison::{InjectionPosition, PoisonSpec};
 use trimgame_datasets::stream::RoundStream;
 use trimgame_numerics::quantile::{ecdf, percentile_sorted, Interpolation};
 use trimgame_numerics::rand_ext::seeded_rng;
 use trimgame_numerics::stats::OnlineStats;
-use trimgame_stream::round::RoundOutcome;
 use trimgame_stream::trim::{trim, SketchThreshold, TrimOp, TrimScratch};
 
 /// The six evaluation schemes of Section VI-A.
@@ -143,6 +142,22 @@ impl GameConfig {
             sketch_epsilon: None,
         }
     }
+
+    /// The scheme's defender for this configuration (clean batches carry
+    /// no excess tail mass, so the baseline quality is 1).
+    #[must_use]
+    pub fn defender(&self) -> DefenderPolicy {
+        self.scheme.defender(self.tth, 1.0, self.red)
+    }
+
+    /// The adversary of this configuration: the override when set, the
+    /// scheme's paired adversary otherwise.
+    #[must_use]
+    pub fn adversary(&self) -> AdversaryPolicy {
+        self.adversary_override
+            .clone()
+            .unwrap_or_else(|| self.scheme.adversary(self.tth))
+    }
 }
 
 /// Result of a scalar game.
@@ -193,6 +208,28 @@ impl GameResult {
     }
 }
 
+/// Everything that happened in one round of a recording
+/// [`ScalarScenario`], with provenance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundOutcome {
+    /// 1-based round number.
+    pub round: usize,
+    /// Percentile the collector trimmed at.
+    pub threshold_percentile: f64,
+    /// Values received (benign + poison).
+    pub received: usize,
+    /// Poison values received.
+    pub poison_received: usize,
+    /// Poison values that survived trimming.
+    pub poison_survived: usize,
+    /// Benign values that were (falsely) trimmed — the trimming overhead.
+    pub benign_trimmed: usize,
+    /// Retained values (benign + surviving poison), input order.
+    pub kept: Vec<f64>,
+    /// `Quality_Evaluation()` score of the received batch.
+    pub quality: f64,
+}
+
 /// Reusable per-round buffers of the scalar round step: the benign
 /// sample, the combined benign+poison batch with provenance, and the trim
 /// scratch. Cleared — never shrunk — between rounds and between runs.
@@ -206,9 +243,9 @@ pub struct ScalarBufs {
 
 /// Everything a scalar game run needs that depends only on the *pool*:
 /// the stream pool, its sorted reference quantile table, and the
-/// per-round buffers. Build one per worker and reuse it across any
-/// number of seeded runs ([`run_game_with_scratch`]) — the pool copy and
-/// the `O(n log n)` sort are paid once instead of per run.
+/// per-round buffers. Build one per worker and lend it (`&mut`) to any
+/// number of seeded [`ScalarScenario`] runs — the pool copy and the
+/// `O(n log n)` sort are paid once instead of per run.
 #[derive(Debug, Clone)]
 pub struct ScalarArena {
     pool: Vec<f64>,
@@ -273,13 +310,98 @@ impl ScalarParams {
     }
 }
 
-/// One scalar round, shared verbatim by the owned [`ScalarScenario`] and
-/// the arena-backed cell of [`run_game_with_scratch`]: benign sample
-/// (draws identical to `RoundStream::next_round`), poison injection at
-/// the reference value of the injection percentile, quality scoring,
-/// in-place trim at the cut, payoff accounting. The kept values/mask are
-/// left in `bufs.trim` for callers that record them.
-#[allow(clippy::too_many_arguments)]
+/// The scalar value-stream workload as an
+/// [`engine::Scenario`](crate::engine::Scenario).
+///
+/// Positions — the defender's threshold and the adversary's injection —
+/// live in *reference percentile space*: the clean pool's quantile
+/// function maps them to values. This is the paper's abstract game
+/// `(x_c, x_a) ∈ [x_L, x_R]²` made concrete, and it is also what a real
+/// collector does: the trimming threshold comes from the publicly
+/// recognized quality standard (clean history), not from the current,
+/// possibly contaminated batch — otherwise a colluding point mass could
+/// drag the batch percentile onto itself and ride out any cut.
+///
+/// The scenario plays over a [`ScalarArena`] it either owns (`A =
+/// ScalarArena`, the default) or borrows from a worker (`A = &mut
+/// ScalarArena`, so back-to-back runs share the reference table and
+/// every round buffer). [`ScalarScenario::new`] keeps only what the
+/// engine aggregates; [`ScalarScenario::recording`] also keeps the
+/// per-round outcomes and retained values [`run_game`] returns.
+#[derive(Debug, Clone)]
+pub struct ScalarScenario<A: BorrowMut<ScalarArena> = ScalarArena> {
+    arena: A,
+    params: ScalarParams,
+    record: bool,
+    /// GK summary of the clean pool when `GameConfig::sketch_epsilon` is
+    /// set: the defender's cut resolves from it instead of the exact
+    /// quantile table.
+    sketch: Option<SketchThreshold>,
+    /// Per-round outcomes with provenance (recording scenarios only).
+    pub outcomes: Vec<RoundOutcome>,
+    /// All retained values across rounds (recording scenarios only).
+    pub retained: Vec<f64>,
+}
+
+impl<A: BorrowMut<ScalarArena>> ScalarScenario<A> {
+    /// Builds one run of `config` over `arena`, keeping no per-round
+    /// payload.
+    ///
+    /// # Panics
+    /// Panics if the batch size is zero.
+    #[must_use]
+    pub fn new(arena: A, config: &GameConfig) -> Self {
+        let (params, sketch) = {
+            let arena = arena.borrow();
+            (
+                ScalarParams::new(&arena.sorted_pool, config),
+                sketch_source(&arena.pool, config),
+            )
+        };
+        Self {
+            arena,
+            params,
+            record: false,
+            sketch,
+            outcomes: Vec::new(),
+            retained: Vec::new(),
+        }
+    }
+
+    /// [`ScalarScenario::new`] that also records every round's
+    /// [`RoundOutcome`] and retained values.
+    ///
+    /// # Panics
+    /// Panics if the batch size is zero.
+    #[must_use]
+    pub fn recording(arena: A, config: &GameConfig) -> Self {
+        Self {
+            record: true,
+            ..Self::new(arena, config)
+        }
+    }
+}
+
+/// Builds the GK sketch threshold source when the sketch-native mode is
+/// requested.
+fn sketch_source(pool: &[f64], config: &GameConfig) -> Option<SketchThreshold> {
+    config.sketch_epsilon.map(|eps| {
+        let mut source = SketchThreshold::new(eps);
+        source.observe(pool);
+        source
+    })
+}
+
+/// One scalar round: benign sample (draws identical to
+/// `RoundStream::next_round`), poison injection at the reference value of
+/// the injection percentile, quality scoring, in-place trim at the cut,
+/// payoff accounting. The kept values/mask are left in `bufs.trim` for a
+/// recording scenario to copy.
+///
+/// Kept out of `ScalarScenario::play_round` on purpose: with this body
+/// inlined there, the single-stream collector's throughput measured about
+/// 12% lower (2-core x86-64 VM).
+#[allow(clippy::too_many_arguments)] // one arg per game ingredient
 fn scalar_round<R: Rng + ?Sized>(
     pool: &[f64],
     sorted_pool: &[f64],
@@ -351,83 +473,7 @@ fn scalar_round<R: Rng + ?Sized>(
     }
 }
 
-/// Builds the GK sketch threshold source when the sketch-native mode is
-/// requested.
-fn sketch_source(pool: &[f64], config: &GameConfig) -> Option<SketchThreshold> {
-    config.sketch_epsilon.map(|eps| {
-        let mut source = SketchThreshold::new(eps);
-        source.observe(pool);
-        source
-    })
-}
-
-/// The scalar value-stream workload as an
-/// [`engine::Scenario`](crate::engine::Scenario).
-///
-/// Positions — the defender's threshold and the adversary's injection —
-/// live in *reference percentile space*: the clean pool's quantile
-/// function maps them to values. This is the paper's abstract game
-/// `(x_c, x_a) ∈ [x_L, x_R]²` made concrete, and it is also what a real
-/// collector does: the trimming threshold comes from the publicly
-/// recognized quality standard (clean history), not from the current,
-/// possibly contaminated batch — otherwise a colluding point mass could
-/// drag the batch percentile onto itself and ride out any cut.
-///
-/// This owned form carries its own [`ScalarArena`]; sweeps and payoff
-/// grids that play many runs per pool reuse one arena through
-/// [`run_game_with_scratch`] instead.
-#[derive(Debug, Clone)]
-pub struct ScalarScenario {
-    arena: ScalarArena,
-    params: ScalarParams,
-    record_kept: bool,
-    /// GK summary of the clean pool when `GameConfig::sketch_epsilon` is
-    /// set: the defender's cut resolves from it instead of the exact
-    /// quantile table.
-    sketch: Option<SketchThreshold>,
-    /// Per-round outcomes with provenance (empty in lean mode).
-    pub outcomes: Vec<RoundOutcome>,
-    /// All retained values across rounds (empty in lean mode).
-    pub retained: Vec<f64>,
-}
-
-impl ScalarScenario {
-    /// Builds the scenario over `pool` with full per-round recording.
-    ///
-    /// # Panics
-    /// Panics if the pool is empty or contains NaN.
-    #[must_use]
-    pub fn new(pool: &[f64], config: &GameConfig) -> Self {
-        Self::build(pool, config, true)
-    }
-
-    /// Builds the scenario without retaining per-round kept values — the
-    /// lean mode for large sweeps, where only the engine's aggregate
-    /// totals and utility trajectories are needed.
-    ///
-    /// # Panics
-    /// Panics if the pool is empty or contains NaN.
-    #[must_use]
-    pub fn lean(pool: &[f64], config: &GameConfig) -> Self {
-        Self::build(pool, config, false)
-    }
-
-    fn build(pool: &[f64], config: &GameConfig, record_kept: bool) -> Self {
-        let arena = ScalarArena::new(pool);
-        let params = ScalarParams::new(&arena.sorted_pool, config);
-        let sketch = sketch_source(pool, config);
-        Self {
-            arena,
-            params,
-            record_kept,
-            sketch,
-            outcomes: Vec::new(),
-            retained: Vec::new(),
-        }
-    }
-}
-
-impl Scenario for ScalarScenario {
+impl<A: BorrowMut<ScalarArena>> Scenario for ScalarScenario<A> {
     fn play_round<R: Rng + ?Sized>(
         &mut self,
         round: usize,
@@ -439,7 +485,7 @@ impl Scenario for ScalarScenario {
             pool,
             sorted_pool,
             bufs,
-        } = &mut self.arena;
+        } = self.arena.borrow_mut();
         let report = scalar_round(
             pool,
             sorted_pool,
@@ -450,7 +496,7 @@ impl Scenario for ScalarScenario {
             injection,
             rng,
         );
-        if self.record_kept {
+        if self.record {
             self.retained.extend_from_slice(bufs.trim.kept());
             self.outcomes.push(RoundOutcome {
                 round,
@@ -467,166 +513,20 @@ impl Scenario for ScalarScenario {
     }
 }
 
-/// The arena-backed scalar cell: one seeded run borrowing a worker's
-/// [`ScalarArena`], so back-to-back runs share every buffer and the
-/// sorted reference table.
-#[derive(Debug)]
-struct ScalarCell<'a> {
-    arena: &'a mut ScalarArena,
-    params: ScalarParams,
-    sketch: Option<SketchThreshold>,
-}
-
-impl<'a> ScalarCell<'a> {
-    fn new(arena: &'a mut ScalarArena, config: &GameConfig) -> Self {
-        let params = ScalarParams::new(&arena.sorted_pool, config);
-        let sketch = sketch_source(&arena.pool, config);
-        Self {
-            arena,
-            params,
-            sketch,
-        }
-    }
-}
-
-impl Scenario for ScalarCell<'_> {
-    fn play_round<R: Rng + ?Sized>(
-        &mut self,
-        _round: usize,
-        threshold: f64,
-        injection: f64,
-        rng: &mut R,
-    ) -> RoundReport {
-        let ScalarArena {
-            pool,
-            sorted_pool,
-            bufs,
-        } = &mut *self.arena;
-        scalar_round(
-            pool,
-            sorted_pool,
-            self.sketch.as_ref(),
-            &self.params,
-            bufs,
-            threshold,
-            injection,
-            rng,
-        )
-    }
-}
-
-/// Drives one scalar game through the unified engine and returns the raw
-/// [`EngineOutcome`] — the lean entry point for sweeps and custom
-/// aggregation. Set `record_kept` to also keep per-round retained values
-/// in the scenario.
-///
-/// # Panics
-/// Panics if the pool is empty or the configuration is degenerate.
-#[must_use]
-pub fn run_game_engine(
-    pool: &[f64],
-    config: &GameConfig,
-    record_kept: bool,
-) -> EngineOutcome<ScalarScenario> {
-    let baseline_quality = 1.0; // clean batches carry no excess tail mass
-    let defender = config
-        .scheme
-        .defender(config.tth, baseline_quality, config.red);
-    let adversary = config
-        .adversary_override
-        .clone()
-        .unwrap_or_else(|| config.scheme.adversary(config.tth));
-    run_game_with_policies(
-        pool,
-        config,
-        Box::new(defender),
-        Box::new(adversary),
-        None,
-        record_kept,
-    )
-}
-
-/// The stream index the scalar game derives its defender policy sub-seed
-/// from: `policy_seed = derive_seed(config.seed, POLICY_SEED_STREAM)`.
-/// Deterministic policies never read the sub-stream, so this only matters
-/// for randomized defenders — it gives them seed-varying draws across
-/// repetitions while keeping every pre-existing fixed-seed trajectory
-/// bit-identical.
-pub const POLICY_SEED_STREAM: u64 = 0x504F_4C49_4359; // "POLICY"
-
-/// Drives one scalar game through the unified engine with arbitrary boxed
-/// policies — the entry point for [`crate::strategy::RandomizedDefender`],
-/// [`crate::adversary::AdaptiveAttacker`] and downstream custom
-/// strategies. Pass `board` to share a
-/// [`PublicBoard`](trimgame_stream::board::PublicBoard) the attacker
-/// already holds a clone of. The defender sub-stream is seeded from
-/// `config.seed` via [`POLICY_SEED_STREAM`].
-///
-/// # Panics
-/// Panics if the pool is empty or the configuration is degenerate.
-#[must_use]
-pub fn run_game_with_policies(
-    pool: &[f64],
-    config: &GameConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-    record_kept: bool,
-) -> EngineOutcome<ScalarScenario> {
-    assert!(config.rounds > 0, "need at least one round");
-    let mut rng = seeded_rng(config.seed);
-    let scenario = if record_kept {
-        ScalarScenario::new(pool, config)
-    } else {
-        ScalarScenario::lean(pool, config)
-    };
-    let mut engine = Engine::with_policies(scenario, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(config.seed, POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run(config.rounds, &mut rng)
-}
-
-/// The allocation-free scalar run: one seeded game over the
-/// worker-owned [`ScalarArena`] (pool tables + round buffers, built once
-/// per worker) recording into the reusable [`EngineScratch`]. Trajectory
-/// finals, totals and termination are bit-identical to
-/// [`run_game_with_policies`] in lean mode — the payoff-grid cell path
-/// of the equilibrium estimator.
-///
-/// # Panics
-/// Panics if the configuration is degenerate.
-#[must_use]
-pub fn run_game_with_scratch(
-    config: &GameConfig,
-    defender: Box<dyn ThresholdPolicy>,
-    adversary: Box<dyn AttackPolicy>,
-    board: Option<trimgame_stream::board::PublicBoard>,
-    arena: &mut ScalarArena,
-    scratch: &mut EngineScratch,
-) -> EngineRun {
-    assert!(config.rounds > 0, "need at least one round");
-    let mut rng = seeded_rng(config.seed);
-    let cell = ScalarCell::new(arena, config);
-    let mut engine = Engine::with_policies(cell, defender, adversary).with_policy_seed(
-        trimgame_numerics::rand_ext::derive_seed(config.seed, POLICY_SEED_STREAM),
-    );
-    if let Some(board) = board {
-        engine = engine.with_board(board);
-    }
-    engine.run_with_scratch(config.rounds, &mut rng, scratch)
-}
-
-/// Runs one scalar collection game over `pool` (see [`ScalarScenario`]
-/// for the game's concrete position semantics).
+/// Runs one scalar collection game over `pool` with the configuration's
+/// own policies (see [`ScalarScenario`] for the game's concrete position
+/// semantics). Custom policies, shared boards and worker arenas build the
+/// [`Engine`] directly over a [`ScalarScenario`], seeding the defender
+/// sub-stream with [`policy_seed`].
 ///
 /// # Panics
 /// Panics if the pool is empty or the configuration is degenerate.
 #[must_use]
 pub fn run_game(pool: &[f64], config: &GameConfig) -> GameResult {
-    let out = run_game_engine(pool, config, true);
+    let scenario = ScalarScenario::recording(ScalarArena::new(pool), config);
+    let out = Engine::new(scenario, config.defender(), config.adversary())
+        .with_policy_seed(policy_seed(config.seed))
+        .run(config.rounds, &mut seeded_rng(config.seed));
     GameResult {
         outcomes: out.scenario.outcomes,
         retained: out.scenario.retained,
@@ -815,6 +715,9 @@ pub fn run_table3_point(pool: &[f64], p: f64, k: f64, reps: usize, master_seed: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::AttackPolicy;
+    use crate::engine::{EngineOutcome, EngineRun, EngineScratch};
+    use crate::strategy::ThresholdPolicy;
 
     fn pool() -> Vec<f64> {
         (0..10_000).map(|i| (i % 1000) as f64 / 10.0).collect()
@@ -944,23 +847,76 @@ mod tests {
         assert!((1.0..=6.0).contains(&term));
     }
 
+    /// An engine over `scenario` seeded the way [`run_game`] seeds it.
+    fn engine<A: BorrowMut<ScalarArena>>(
+        scenario: ScalarScenario<A>,
+        cfg: &GameConfig,
+        defender: Box<dyn ThresholdPolicy>,
+        adversary: Box<dyn AttackPolicy>,
+    ) -> Engine<ScalarScenario<A>> {
+        Engine::with_policies(scenario, defender, adversary).with_policy_seed(policy_seed(cfg.seed))
+    }
+
+    /// One non-recording run of `cfg` with its own policies on a fresh
+    /// arena.
+    fn run_lean(pool: &[f64], cfg: &GameConfig) -> EngineOutcome<ScalarScenario> {
+        let scenario = ScalarScenario::new(ScalarArena::new(pool), cfg);
+        engine(
+            scenario,
+            cfg,
+            Box::new(cfg.defender()),
+            Box::new(cfg.adversary()),
+        )
+        .run(cfg.rounds, &mut seeded_rng(cfg.seed))
+    }
+
     #[test]
     fn lean_engine_run_matches_recording_run() {
-        // The sweep's lean mode must produce the same trajectories and
-        // aggregate counts as the full recording mode, just without the
-        // per-round kept payloads.
+        // The non-recording form must produce the same trajectories,
+        // aggregate counts and EngineRun as the recording form, just
+        // without the per-round kept payloads.
         let cfg = GameConfig::new(Scheme::Elastic(0.5));
-        let full = run_game_engine(&pool(), &cfg, true);
-        let lean = run_game_engine(&pool(), &cfg, false);
+        let pool = pool();
+        let policies = || -> (Box<dyn ThresholdPolicy>, Box<dyn AttackPolicy>) {
+            (Box::new(cfg.defender()), Box::new(cfg.adversary()))
+        };
+        let (d, a) = policies();
+        let full = engine(
+            ScalarScenario::recording(ScalarArena::new(&pool), &cfg),
+            &cfg,
+            d,
+            a,
+        )
+        .run(cfg.rounds, &mut seeded_rng(cfg.seed));
+        let lean = run_lean(&pool, &cfg);
         assert_eq!(full.thresholds, lean.thresholds);
         assert_eq!(full.injections, lean.injections);
         assert_eq!(full.utilities.u_a, lean.utilities.u_a);
         assert_eq!(full.utilities.u_c, lean.utilities.u_c);
         assert_eq!(full.totals, lean.totals);
+        assert_eq!(full.scenario.outcomes.len(), cfg.rounds);
         assert!(lean.scenario.outcomes.is_empty());
         assert!(lean.scenario.retained.is_empty());
+        let runs: Vec<EngineRun> = [true, false]
+            .into_iter()
+            .map(|record| {
+                let arena = ScalarArena::new(&pool);
+                let scenario = if record {
+                    ScalarScenario::recording(arena, &cfg)
+                } else {
+                    ScalarScenario::new(arena, &cfg)
+                };
+                let (d, a) = policies();
+                engine(scenario, &cfg, d, a).run_with_scratch(
+                    cfg.rounds,
+                    &mut seeded_rng(cfg.seed),
+                    &mut EngineScratch::new(),
+                )
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
         // And the totals agree with the GameResult-level metrics.
-        let result = run_game(&pool(), &cfg);
+        let result = run_game(&pool, &cfg);
         assert!(
             (full.totals.surviving_poison_fraction() - result.surviving_poison_fraction()).abs()
                 < 1e-12
@@ -971,9 +927,10 @@ mod tests {
 
     #[test]
     fn scratch_cells_replay_the_boxed_path_bit_for_bit() {
-        // One arena + one engine scratch across many heterogeneous cells:
-        // every cell must reproduce the allocating entry point exactly,
-        // with no state leaking between consecutive runs.
+        // One warm arena + one engine scratch across many heterogeneous
+        // cells: every non-recording cell must reproduce a recording run
+        // on a fresh arena exactly, with no state leaking between
+        // consecutive runs.
         let pool = pool();
         let mut arena = ScalarArena::new(&pool);
         let mut scratch = EngineScratch::new();
@@ -993,15 +950,24 @@ mod tests {
                 )
             };
             let (d, a) = policies();
-            let owned = run_game_with_policies(&pool, &cfg, d, a, None, false);
+            let mut fresh_scratch = EngineScratch::new();
+            let fresh = engine(
+                ScalarScenario::recording(ScalarArena::new(&pool), &cfg),
+                &cfg,
+                d,
+                a,
+            )
+            .run_with_scratch(rounds, &mut seeded_rng(seed), &mut fresh_scratch);
             let (d, a) = policies();
-            let lean = run_game_with_scratch(&cfg, d, a, None, &mut arena, &mut scratch);
-            assert_eq!(lean.totals, owned.totals, "tth={tth} seed={seed}");
-            assert_eq!(Some(&lean.final_u_a), owned.utilities.u_a.last());
-            assert_eq!(Some(&lean.final_u_c), owned.utilities.u_c.last());
-            assert_eq!(lean.termination_round, owned.termination_round);
-            assert_eq!(scratch.thresholds(), owned.thresholds.as_slice());
-            assert_eq!(scratch.injections(), owned.injections.as_slice());
+            let warm = engine(ScalarScenario::new(&mut arena, &cfg), &cfg, d, a).run_with_scratch(
+                rounds,
+                &mut seeded_rng(seed),
+                &mut scratch,
+            );
+            assert_eq!(warm, fresh, "tth={tth} seed={seed}");
+            assert_eq!(scratch.thresholds(), fresh_scratch.thresholds());
+            assert_eq!(scratch.injections(), fresh_scratch.injections());
+            assert_eq!(scratch.qualities(), fresh_scratch.qualities());
         }
     }
 
@@ -1014,18 +980,23 @@ mod tests {
 
     #[test]
     fn boxed_policies_replay_the_enum_path_exactly() {
-        // Routing the same enum policies through run_game_with_policies
-        // must reproduce run_game_engine bit-for-bit (the shim contract).
+        // Routing the same enum policies through Engine::with_policies
+        // must reproduce Engine::new bit-for-bit (the shim contract).
         let cfg = GameConfig::new(Scheme::BaselineStatic);
-        let via_enum = run_game_engine(&pool(), &cfg, false);
-        let via_boxed = run_game_with_policies(
-            &pool(),
+        let via_enum = Engine::new(
+            ScalarScenario::new(ScalarArena::new(&pool()), &cfg),
+            cfg.defender(),
+            cfg.adversary(),
+        )
+        .with_policy_seed(policy_seed(cfg.seed))
+        .run(cfg.rounds, &mut seeded_rng(cfg.seed));
+        let via_boxed = engine(
+            ScalarScenario::new(ScalarArena::new(&pool()), &cfg),
             &cfg,
             Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
             Box::new(cfg.scheme.adversary(cfg.tth)),
-            None,
-            false,
-        );
+        )
+        .run(cfg.rounds, &mut seeded_rng(cfg.seed));
         assert_eq!(via_enum.thresholds, via_boxed.thresholds);
         assert_eq!(via_enum.injections, via_boxed.injections);
         assert_eq!(via_enum.utilities.u_a, via_boxed.utilities.u_a);
@@ -1043,14 +1014,14 @@ mod tests {
             let board = PublicBoard::new();
             let attacker = AdaptiveAttacker::new(board.clone(), 0.01, 0.99);
             let defender = RandomizedDefender::new(&[0.86, 0.94], &[0.5, 0.5]).unwrap();
-            run_game_with_policies(
-                &pool(),
+            engine(
+                ScalarScenario::new(ScalarArena::new(&pool()), &cfg),
                 &cfg,
                 Box::new(defender),
                 Box::new(attacker),
-                Some(board),
-                false,
             )
+            .with_board(board)
+            .run(cfg.rounds, &mut seeded_rng(cfg.seed))
         };
         let out = run_once();
         // The defender mixed over its atoms...
@@ -1091,7 +1062,7 @@ mod tests {
                 cfg.batch = 500;
                 cfg.sketch_epsilon = sketch_epsilon;
                 cfg.adversary_override = Some(AdversaryPolicy::Fixed { percentile: a });
-                let out = run_game_engine(&pool, &cfg, false);
+                let out = run_lean(&pool, &cfg);
                 if out.totals.poison_survived == out.totals.poison_received {
                     extra = extra.max(a - tth);
                 }
@@ -1112,8 +1083,8 @@ mod tests {
         // And the sketch path is deterministic: same run, same totals.
         let mut cfg = GameConfig::new(Scheme::BaselineStatic);
         cfg.sketch_epsilon = Some(eps);
-        let a = run_game_engine(&pool, &cfg, false).totals;
-        let b = run_game_engine(&pool, &cfg, false).totals;
+        let a = run_lean(&pool, &cfg).totals;
+        let b = run_lean(&pool, &cfg).totals;
         assert_eq!(a, b);
     }
 

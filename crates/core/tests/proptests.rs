@@ -1,11 +1,32 @@
 //! Property-based tests for the game-theoretic core.
 
 use proptest::prelude::*;
+use trim_core::adversary::AttackPolicy;
 use trim_core::elastic::CoupledDynamics;
+use trim_core::engine::{policy_seed, Engine, EngineOutcome};
 use trim_core::matrix::{Move, UltimatumPayoffs};
-use trim_core::simulation::{run_game, GameConfig, Scheme};
+use trim_core::simulation::{run_game, GameConfig, ScalarArena, ScalarScenario, Scheme};
 use trim_core::space::StrategySpace;
+use trim_core::strategy::ThresholdPolicy;
 use trim_core::titfortat::{adversary_complies, compliance_margin, compliant_gain, defector_gain};
+use trimgame_numerics::rand_ext::seeded_rng;
+
+/// One non-recording scalar run of `cfg` over `pool` with the given
+/// policies, seeded the way `run_game` seeds it.
+fn run_with(
+    pool: &[f64],
+    cfg: &GameConfig,
+    defender: Box<dyn ThresholdPolicy>,
+    adversary: Box<dyn AttackPolicy>,
+) -> EngineOutcome<ScalarScenario> {
+    Engine::with_policies(
+        ScalarScenario::new(ScalarArena::new(pool), cfg),
+        defender,
+        adversary,
+    )
+    .with_policy_seed(policy_seed(cfg.seed))
+    .run(cfg.rounds, &mut seeded_rng(cfg.seed))
+}
 
 proptest! {
     #[test]
@@ -137,7 +158,6 @@ proptest! {
         // stream (benign draws, the Uniform adversary's mixing) is
         // untouched, regardless of the (renormalized) weight.
         use trim_core::adversary::AdversaryPolicy;
-        use trim_core::simulation::run_game_with_policies;
         use trim_core::strategy::{DefenderPolicy, RandomizedDefender};
         let pool: Vec<f64> = (0..2_000).map(|i| (i % 500) as f64).collect();
         let mut cfg = GameConfig::new(Scheme::Baseline09);
@@ -147,22 +167,18 @@ proptest! {
         cfg.seed = seed;
         cfg.attack_ratio = ratio;
         let adversary = || AdversaryPolicy::Uniform { lo: 0.85, hi: 1.0 };
-        let fixed = run_game_with_policies(
+        let fixed = run_with(
             &pool,
             &cfg,
             Box::new(DefenderPolicy::Fixed { tth }),
             Box::new(adversary()),
-            None,
-            false,
         );
         let singleton = RandomizedDefender::new(&[tth], &[weight]).unwrap();
-        let randomized = run_game_with_policies(
+        let randomized = run_with(
             &pool,
             &cfg,
             Box::new(singleton),
             Box::new(adversary()),
-            None,
-            false,
         );
         prop_assert_eq!(&fixed.thresholds, &randomized.thresholds);
         prop_assert_eq!(&fixed.injections, &randomized.injections);
@@ -194,7 +210,7 @@ proptest! {
         // out-of-bound values the clamp must absorb — never break the
         // invariants: weights strictly positive and summing to one,
         // played probabilities strictly positive and summing to one.
-        use trim_core::adversary::{AdversaryObservation, AttackPolicy, Exp3Attacker};
+        use trim_core::adversary::{AdversaryObservation, Exp3Attacker};
         use trimgame_numerics::rand_ext::seeded_rng;
         let atoms: Vec<f64> = (0..k).map(|i| 0.5 + 0.4 * i as f64 / k as f64).collect();
         let mut attacker =
@@ -228,8 +244,7 @@ proptest! {
         // main environment stream, not its private stream — so the whole
         // engine trajectory is bit-identical to the corresponding pure
         // Fixed attack policy.
-        use trim_core::adversary::{AdversaryPolicy, AttackPolicy, Exp3Attacker};
-        use trim_core::simulation::run_game_with_policies;
+        use trim_core::adversary::{AdversaryPolicy, Exp3Attacker};
         use trim_core::strategy::DefenderPolicy;
         let pool: Vec<f64> = (0..2_000).map(|i| (i % 500) as f64 / 5.0).collect();
         let mut cfg = GameConfig::new(Scheme::BaselineStatic);
@@ -237,13 +252,11 @@ proptest! {
         cfg.batch = 120;
         cfg.seed = seed;
         let run = |attacker: Box<dyn AttackPolicy>| {
-            run_game_with_policies(
+            run_with(
                 &pool,
                 &cfg,
                 Box::new(DefenderPolicy::Fixed { tth: cfg.tth }),
                 attacker,
-                None,
-                false,
             )
         };
         let exp3 = run(Box::new(

@@ -622,42 +622,50 @@ impl GkSummary {
     /// Queries the value at quantile `q ∈ [0, 1]` (rank error ≤ `ε·n`).
     /// Returns `None` before any observation.
     ///
-    /// The scan condition reduces to "the first tuple whose `rank_max`
-    /// reaches `target − ε·n`" (the two-sided check is redundant: with
-    /// `bound = ε·n`, `target ≤ rank_max + bound ⟺ rank_max ≥ target −
-    /// bound`), so with a fresh index this is one binary search; only a
-    /// summary made stale by single-value inserts falls back to the scan.
+    /// Standard GK selection: with `target = ⌈q·n⌉` and `bound = ⌊ε·n⌋`,
+    /// the answer is the tuple just before the first whose `rank_max`
+    /// exceeds `target + bound`. Its own `rank_max` is inside the band by
+    /// construction, and the invariant `g + Δ ≤ ⌊2εn⌋` on the next tuple
+    /// holds its `rank_min` at or above `target − bound`. Both sides
+    /// matter: a tuple inserted between ties carries a large `Δ`, so its
+    /// `rank_max` can reach the band while its `rank_min` sits far below
+    /// it. The first index whose running maximum of `rank_max` exceeds
+    /// the ceiling is the first tuple that does, so with a fresh index
+    /// this is one binary search; only a summary made stale by
+    /// single-value inserts falls back to the scan.
     ///
     /// # Panics
     /// Panics unless `q ∈ [0, 1]`.
     #[must_use]
     pub fn query(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} not in [0,1]");
-        if self.tuples.is_empty() {
-            return None;
-        }
         // The extremes are tracked exactly: the first tuple is the
         // minimum and merging always folds predecessors into successors,
         // so the last tuple is the maximum.
+        if q <= 0.0 {
+            return self.tuples.first().map(|t| t.v);
+        }
         if q >= 1.0 {
             return self.tuples.last().map(|t| t.v);
         }
+        if self.tuples.is_empty() {
+            return None;
+        }
         let target = (q * self.n as f64).ceil() as u64;
-        let floor = target.saturating_sub((self.epsilon * self.n as f64) as u64);
-        if !self.index_dirty {
-            let i = self.index.partition_point(|&m| m < floor);
-            // The last tuple's rank_max is ≥ n ≥ target ≥ floor, so the
-            // search always lands in range; clamp defensively anyway.
-            return Some(self.tuples[i.min(self.tuples.len() - 1)].v);
-        }
-        let mut rank_min = 0u64;
-        for t in &self.tuples {
-            rank_min += t.g;
-            if rank_min + t.delta >= floor {
-                return Some(t.v);
-            }
-        }
-        self.tuples.last().map(|t| t.v)
+        let ceiling = target + (self.epsilon * self.n as f64) as u64;
+        let first_over = if self.index_dirty {
+            let mut rank_min = 0u64;
+            self.tuples
+                .iter()
+                .position(|t| {
+                    rank_min += t.g;
+                    rank_min + t.delta > ceiling
+                })
+                .unwrap_or(self.tuples.len())
+        } else {
+            self.index.partition_point(|&m| m <= ceiling)
+        };
+        Some(self.tuples[first_over.saturating_sub(1)].v)
     }
 }
 
@@ -673,6 +681,41 @@ mod tests {
         let s = GkSummary::new(0.01);
         assert_eq!(s.query(0.5), None);
         assert_eq!(s.count(), 0);
+    }
+
+    #[test]
+    fn sequential_query_keeps_rank_guarantee_between_ties() {
+        // A tied stream inserted one value at a time: fresh tuples land
+        // between ties with g = 1 and a large Δ, so a query that checked
+        // only `rank_max ≥ target − εn` answered -2.0 (true rank
+        // [255, 272]) for target rank ≈ 370, far outside the band.
+        let base = [
+            -2.5, 0.0, 1.0, -1.0, -0.5, 3.0, -2.5, -1.5, -1.5, 2.5, -3.5, 2.5, 0.5, 1.5, 1.5, 1.5,
+            -2.5, -2.5, -3.0, -1.5, -3.5, -1.5, -1.0, 3.5, -4.0, -0.5, -4.0, 1.5, 3.5, 1.0, -2.5,
+            -0.5, -3.5, -4.0, -2.5, 2.0, 0.0, -0.5, -3.0, 3.5, 1.0, -1.0, 1.5, 1.5, -3.5, 3.0,
+            -2.0, 0.0,
+        ];
+        let data: Vec<f64> = base.iter().copied().cycle().take(base.len() * 17).collect();
+        let eps = 0.05;
+        let mut s = GkSummary::new(eps);
+        for &v in &data {
+            s.insert(v);
+        }
+        let mut sorted = data.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let n = data.len() as f64;
+        let q = 0.453_874_944_829_434_6;
+        let est = s.query(q).unwrap();
+        let lo = sorted.partition_point(|&v| v < est) as f64;
+        let hi = sorted.partition_point(|&v| v <= est) as f64;
+        let target = q * n;
+        let dist = (lo - target).max(target - hi).max(0.0);
+        assert!(
+            dist <= 2.0 * eps * n + 1.0,
+            "est {est} rank [{lo}, {hi}] target {target}"
+        );
+        assert_eq!(s.query(0.0), Some(sorted[0]));
+        assert_eq!(s.query(1.0), Some(sorted[sorted.len() - 1]));
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! Online collection engine — the system of the paper's Fig. 3.
+//! Online collection substrate — the system of the paper's Fig. 3.
 //!
 //! The infinite collection game runs on a concrete streaming substrate:
 //! a data collector gathers a fixed-size batch per round (step ③), trims it
 //! at a threshold (step ④), records the retained data on a **public board**
 //! readable by the adversary (steps ①/⑥), evaluates data quality with a
 //! publicly recognized `Quality_Evaluation()` standard, and determines the
-//! next round's trimming threshold (step ⑤). This crate implements that
-//! machinery; the *policies* that choose thresholds (Tit-for-tat, Elastic,
-//! baselines) live in `trim-core`.
+//! next round's trimming threshold (step ⑤). The round loop itself is one
+//! pipeline in `trim-core`: its `Engine` drives one `Scenario` per
+//! substrate, which scores quality and trims with this crate's operators,
+//! and its policies choose the thresholds (Tit-for-tat, Elastic,
+//! baselines). This crate holds the machinery underneath — trimming, the
+//! board and its tiered storage, and the streaming ingest path:
 //!
 //! * [`mod@trim`] — trimming operators over scalar batches.
 //! * the explicit-SIMD mask-compact filter kernels behind them live in
 //!   [`trimgame_numerics::simd`] (AVX-512 / AVX2 / NEON, portable
 //!   fallback), shared with the percentile machinery.
-//! * [`quality`] — `Quality_Evaluation()` implementations.
 //! * [`board`] — the thread-safe, chunked append-only public board,
 //!   shardable per collector for contention-free concurrent venues.
 //! * [`frame`] — delta-encoded, bit-packed frames of sealed board
@@ -25,9 +27,6 @@
 //!   feeding the streaming collector's ingest workers.
 //! * [`coalesce`] — reorder-window batch coalescing with a watermark
 //!   rule for late/out-of-order arrivals.
-//! * [`collector`] — per-round collect → trim → record pipeline.
-//! * [`round`] — the generic round loop gluing streams, injectors and
-//!   threshold policies together.
 //! * [`fault`] — deterministic seeded fault injection (stalls,
 //!   disconnects, torn spill writes, read bit-flips) plus the bounded
 //!   retry-with-backoff wrapper the spill I/O paths use.
@@ -38,13 +37,10 @@
 pub mod board;
 pub mod channel;
 pub mod coalesce;
-pub mod collector;
 pub mod compact;
 pub mod fault;
 pub mod frame;
-pub mod quality;
 pub mod recover;
-pub mod round;
 pub mod trim;
 
 pub use board::{
@@ -54,19 +50,16 @@ pub use channel::{bounded, Receiver, SendError, Sender};
 pub use coalesce::{
     CoalesceStats, Coalescer, CoalescerConfig, IngestRecord, LatePolicy, RoundBatch,
 };
-pub use collector::Collector;
 pub use compact::{Compactor, TierConfig, TierStats, TierStatsSnapshot};
 pub use fault::{
     with_retry, FaultLane, FaultPlan, FaultSite, FaultSpec, FaultStats, FaultStatsSnapshot,
     RetryPolicy,
 };
 pub use frame::{Frame, FrameCursor, FrameError};
-pub use quality::{MeanShiftQuality, QualityEvaluation, TailMassQuality};
 pub use recover::{
     read_manifest, ManifestEntry, ManifestFile, ManifestWriter, RecoveryReport, ShardRecovery,
     SpanManifest,
 };
-pub use round::{run_rounds, RoundOutcome};
 pub use trim::{
     trim, SketchThreshold, TrimOp, TrimOutcome, TrimScratch, TrimScratchF32, TrimStats,
 };

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use trimgame_stream::board::{PublicBoard, RangedVenue, RoundRecord};
 use trimgame_stream::compact::{Compactor, TierConfig};
 use trimgame_stream::frame::Frame;
-use trimgame_stream::quality::{MeanShiftQuality, QualityEvaluation, TailMassQuality};
 use trimgame_stream::trim::{trim, TrimOp, TrimOutcome, TrimScratch, TrimScratchF32};
 
 /// Straightforward sort-based reference implementation of the upper
@@ -239,31 +238,6 @@ proptest! {
         prop_assert_eq!(reused.kept(), fresh.kept.as_slice());
         prop_assert_eq!(stats.trimmed, fresh.trimmed);
         prop_assert_eq!(stats.threshold_value, fresh.threshold_value);
-    }
-
-    #[test]
-    fn tail_mass_quality_monotone_in_poison(
-        base in prop::collection::vec(0.0_f64..100.0, 50..150),
-        extra in 1_usize..50,
-    ) {
-        let q = TailMassQuality::new(90.0, 0.1);
-        let clean_score = q.evaluate(&base);
-        let mut poisoned = base.clone();
-        poisoned.extend(std::iter::repeat_n(99.0, extra));
-        prop_assert!(q.evaluate(&poisoned) <= clean_score + 1e-12);
-    }
-
-    #[test]
-    fn quality_scores_bounded(
-        values in prop::collection::vec(-1e3_f64..1e3, 2..100),
-    ) {
-        let tail = TailMassQuality::new(0.0, 0.5);
-        let s = tail.evaluate(&values);
-        prop_assert!((0.0..=1.0).contains(&s));
-        let shift = MeanShiftQuality::new(0.0, 100.0, 3.0);
-        let s = shift.evaluate(&values);
-        prop_assert!((0.0..=1.0).contains(&s));
-        prop_assert!((0.0..=1.0).contains(&tail.normalized_badness(&values)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example kmeans_defense`
 
-use trimgame::core::ml_sim::{collect_poisoned, kmeans_metrics, MlSimConfig};
+use trimgame::core::ml_sim::{collect_poisoned, kmeans_metrics, MlArena, MlSimConfig};
 use trimgame::core::simulation::Scheme;
 use trimgame::datasets::shapes::control;
 use trimgame::numerics::rand_ext::seeded_rng;
@@ -40,7 +40,7 @@ fn main() {
         for rep in 0..reps {
             let seed = trimgame::numerics::rand_ext::derive_seed(7, rep);
             let cfg = MlSimConfig::new(scheme, tth, ratio, seed);
-            let collected = collect_poisoned(&data, &cfg);
+            let collected = collect_poisoned(&data, &cfg, MlArena::new(&data));
             let (sse, distance) = kmeans_metrics(&collected, &data);
             sse_sum += sse;
             dist_sum += distance;

@@ -8,7 +8,7 @@
 //! changed.
 
 use trimgame::core::ldp_sim::{run_ldp_collection, LdpDefense, LdpSimConfig};
-use trimgame::core::ml_sim::{collect_poisoned, MlSimConfig};
+use trimgame::core::ml_sim::{collect_poisoned, MlArena, MlSimConfig};
 use trimgame::core::simulation::{run_game, GameConfig, Scheme};
 use trimgame::datasets::synthetic::{GaussianComponent, GmmSpec};
 use trimgame::numerics::rand_ext::seeded_rng;
@@ -38,7 +38,11 @@ fn main() {
     ]);
     let data = spec.generate("blobs", 600, &mut seeded_rng(5));
     for scheme in [Scheme::Ostrich, Scheme::TitForTat, Scheme::Elastic(0.5)] {
-        let set = collect_poisoned(&data, &MlSimConfig::new(scheme, 0.9, 0.3, 77));
+        let set = collect_poisoned(
+            &data,
+            &MlSimConfig::new(scheme, 0.9, 0.3, 77),
+            MlArena::new(&data),
+        );
         let sum: f64 = set.retained.values().iter().sum();
         println!(
             "ml {} rows={} sum={:.6} ps={} pr={} bt={}",

@@ -19,7 +19,7 @@
 //! * every substrate the evaluation needs — dataset generators matching
 //!   Table II, k-means / SVM / SOM learners, an LDP pipeline (Duchi,
 //!   Piecewise, Laplace mechanisms; manipulation attacks; the EMF
-//!   baseline), and a streaming collection engine with a public board;
+//!   baseline), and a streaming collection substrate with a public board;
 //! * one unified simulation core — `core::engine::Engine<S: Scenario>`
 //!   drives the Fig. 3 round loop for the scalar, ML and LDP workloads
 //!   alike, on an allocation-free trimming hot path
@@ -62,7 +62,7 @@
 //! | [`datasets`] | `trimgame-datasets` | Table II dataset generators, streams, poison injectors |
 //! | [`ml`] | `trimgame-ml` | k-means, linear SVM, SOM, confusion/PPV/FDR metrics |
 //! | [`ldp`] | `trimgame-ldp` | LDP mechanisms, manipulation attacks, EM filter |
-//! | [`stream`] | `trimgame-stream` | public board, collector pipeline, trimming ops, quality |
+//! | [`stream`] | `trimgame-stream` | trimming ops, public board with tiered storage, streaming ingest |
 //! | [`numerics`] | `trimgame-numerics` | quantiles, stats, RK4, Lagrangians, variational checks |
 
 pub use trim_core as core;

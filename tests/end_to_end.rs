@@ -1,7 +1,9 @@
 //! Integration tests spanning the whole workspace: dataset generation →
 //! online collection game → learners → metrics.
 
-use trimgame::core::ml_sim::{collect_poisoned, kmeans_metrics, svm_accuracy, MlSimConfig};
+use trimgame::core::ml_sim::{
+    collect_poisoned, kmeans_metrics, svm_accuracy, MlArena, MlSimConfig,
+};
 use trimgame::core::simulation::{run_game, GameConfig, Scheme};
 use trimgame::datasets::shapes::{control, taxi, Shape};
 use trimgame::ml::metrics::ConfusionMatrix;
@@ -17,7 +19,7 @@ fn control_dataset_through_full_kmeans_pipeline() {
         batch: 120,
         ..MlSimConfig::new(Scheme::Elastic(0.5), 0.9, 0.3, 2)
     };
-    let collected = collect_poisoned(&data, &cfg);
+    let collected = collect_poisoned(&data, &cfg, MlArena::new(&data));
     assert!(collected.retained.rows() > 500);
     let (sse, distance) = kmeans_metrics(&collected, &data);
     assert!(sse.is_finite() && sse > 0.0);
@@ -58,7 +60,7 @@ fn svm_pipeline_on_poisoned_control_stays_reasonable() {
         batch: 120,
         ..MlSimConfig::new(Scheme::TitForTat, 0.95, 0.4, 7)
     };
-    let collected = collect_poisoned(&data, &cfg);
+    let collected = collect_poisoned(&data, &cfg, MlArena::new(&data));
     let defended_acc = svm_accuracy(&collected, &data, 8);
     assert!(
         defended_acc > clean_acc - 0.15,

@@ -2,7 +2,7 @@
 //! evaluation (who wins where) must hold in this implementation.
 
 use trimgame::core::ldp_sim::{ldp_mse, LdpDefense, LdpSimConfig};
-use trimgame::core::ml_sim::{collect_poisoned, kmeans_metrics, MlSimConfig};
+use trimgame::core::ml_sim::{collect_poisoned, kmeans_metrics, MlArena, MlSimConfig};
 use trimgame::core::simulation::{run_game, run_table3_point, GameConfig, Scheme};
 use trimgame::datasets::shapes::{control, taxi};
 use trimgame::numerics::rand_ext::{derive_seed, seeded_rng};
@@ -16,7 +16,7 @@ fn averaged_distance(data: &trimgame::datasets::Dataset, scheme: Scheme, ratio: 
             batch: 120,
             ..MlSimConfig::new(scheme, 0.9, ratio, derive_seed(91, rep))
         };
-        let collected = collect_poisoned(data, &cfg);
+        let collected = collect_poisoned(data, &cfg, MlArena::new(data));
         let (_, d) = kmeans_metrics(&collected, data);
         total += d;
     }
