@@ -39,6 +39,7 @@
 use crate::empirical::{
     measure_cells, standard_substrate, ClosedForm, EquilibriumConfig, GameSubstrate, SubstrateKind,
 };
+use crate::sweep::join;
 use std::fmt::Write as _;
 use trim_core::matrix::{MatrixGame, MixedEquilibrium};
 use trim_core::space::{golden_section_max, refine_placements};
@@ -478,8 +479,9 @@ fn defender_candidate(
     };
     match &oracle.search {
         OracleSearch::Continuum => {
-            // Start from the heaviest current atom (ties to the lowest
-            // index) for a deterministic, already-good bracket.
+            // Start from the heaviest current atom (ties to the highest
+            // index: `max_by` keeps the last maximum) for a deterministic,
+            // already-good bracket.
             let start = d_atoms
                 .iter()
                 .zip(x)
@@ -661,17 +663,20 @@ pub fn double_oracle(
         }
     }
 
-    // Final solve at the full fictitious-play budget, warm-started.
+    // Final solve at the full fictitious-play budget, warm-started, and
+    // the analytic cross-check over the same discovered supports: two
+    // independent solves, run side by side when a second worker is free.
     let game = MatrixGame::new(arena.mean_matrix()).expect("finite measured means");
-    let equilibrium = game.solve_warm(cfg.fp_iterations, Some(&eq));
-
-    // Analytic cross-check over the same discovered supports.
     let analytic_matrix: Vec<Vec<f64>> = d_atoms
         .iter()
         .map(|&t| a_atoms.iter().map(|&a| model.loss(t, a)).collect())
         .collect();
     let analytic_game = MatrixGame::new(analytic_matrix).expect("finite analytic losses");
-    let analytic = analytic_game.solve(cfg.fp_iterations);
+    let (equilibrium, analytic) = join(
+        cfg.workers,
+        || game.solve_warm(cfg.fp_iterations, Some(&eq)),
+        || analytic_game.solve(cfg.fp_iterations),
+    );
 
     let value_gap = (equilibrium.value - analytic.value).abs();
     let gap_tolerance = arena.worst_ci() + 0.5 * (equilibrium.gap() + analytic.gap());

@@ -52,7 +52,7 @@
 //! seed, so the whole pipeline is bit-deterministic regardless of
 //! `TRIMGAME_SWEEP_THREADS`.
 
-use crate::sweep::{env_workers, parallel_map_with};
+use crate::sweep::{env_workers, join, parallel_map_with};
 use rand::rngs::StdRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -1038,13 +1038,18 @@ pub fn estimate_on(sub: &dyn GameSubstrate, cfg: &EquilibriumConfig) -> Empirica
     }
 
     let empirical_game = MatrixGame::new(mean_loss.clone()).expect("finite means");
-    let empirical = empirical_game.solve(cfg.fp_iterations);
     let pure_empirical_value = empirical_game.pure_commitment_value();
 
     let model = sub.closed_form(cfg);
     let analytic_matrix = analytic_loss_matrix(&model, cfg);
     let analytic_game = MatrixGame::new(analytic_matrix.clone()).expect("finite analytic losses");
-    let analytic = analytic_game.solve(cfg.fp_iterations);
+    // The two solves are independent: side by side when a second worker
+    // is free.
+    let (empirical, analytic) = join(
+        cfg.workers,
+        || empirical_game.solve(cfg.fp_iterations),
+        || analytic_game.solve(cfg.fp_iterations),
+    );
 
     let (stackelberg_value, pure_grid_value) = analytic_continuum(&model, cfg);
 
@@ -1769,6 +1774,21 @@ mod tests {
             );
             assert_eq!(sequential.empirical, parallel.empirical);
             assert_eq!(sequential.analytic, parallel.analytic);
+        }
+    }
+
+    #[test]
+    fn estimate_on_is_worker_count_invariant() {
+        // The dense path's twin of the double oracle's invariance test:
+        // the whole result, final solve pair included, on every substrate.
+        for kind in SubstrateKind::ALL {
+            let sub = standard_substrate(kind);
+            let mut cfg = EquilibriumConfig::smoke_for(kind);
+            cfg.workers = 1;
+            let one = estimate_on(&*sub, &cfg);
+            cfg.workers = 2;
+            let two = estimate_on(&*sub, &cfg);
+            assert_eq!(one, two, "{}", kind.name());
         }
     }
 

@@ -299,7 +299,9 @@ fn collector_cases(measure: Duration) -> Vec<BenchCase> {
 /// plus the deterministic iterations-to-bound counts as pseudo-cases
 /// (`*_iters`, recorded in the `mean_ns` slot like the `*_runs` family)
 /// — that count is what the oracle loop pays on every support growth,
-/// and it diffs exactly across PRs.
+/// and it diffs exactly across PRs. `matrix/fictitious_play/8` times the
+/// fixed-budget kernel alone: a cold 200k-iteration solve of an 8×8 grid,
+/// the standard oracle's support cap, as each final solve pays it.
 fn matrix_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     // The oracle's own growth shape: the scalar substrate's closed-form
     // trimming losses on a threshold × response grid, grown by one
@@ -327,7 +329,14 @@ fn matrix_cases(warmup: Duration, measure: Duration) -> Vec<BenchCase> {
     let (prior, _) = parent.solve_to_gap(gap, 10_000_000, None);
     let (_, cold_iters) = grown.solve_to_gap(gap, 10_000_000, None);
     let (_, warm_iters) = grown.solve_to_gap(gap, 10_000_000, Some(&prior));
+    let support = MatrixGame::new(loss_grid(8, 8)).expect("valid 8x8 game");
     vec![
+        BenchCase {
+            name: "matrix/fictitious_play/8".into(),
+            mean_ns: time_ns(warmup, measure, || {
+                std::hint::black_box(support.solve(200_000).value);
+            }),
+        },
         BenchCase {
             name: format!("matrix/solve_to_gap_cold/{n}"),
             mean_ns: time_ns(warmup, measure, || {
@@ -615,26 +624,36 @@ fn higher_is_better(case: &str) -> bool {
     case.ends_with("_per_sec")
 }
 
+/// True for deterministic counters: a `/`-segment ending in `_runs` or
+/// `_iters` (engine runs, fictitious-play iterations). They repeat
+/// exactly on any machine, so any change is a change of behaviour.
+fn exact_count(case: &str) -> bool {
+    case.split('/')
+        .any(|seg| seg.ends_with("_runs") || seg.ends_with("_iters"))
+}
+
 /// Compares the `current` snapshot against `baseline` under a regression
 /// `tolerance`. A lower-is-better case regresses when its current value
 /// exceeds `tolerance ×` its baseline; a higher-is-better `*_per_sec`
 /// case regresses when its current value falls below its baseline
-/// `÷ tolerance`. The printed ratio is always current ÷ baseline. Only
-/// cases present in both snapshots are compared, so snapshots may add
+/// `÷ tolerance`. A deterministic counter (a `/`-segment ending in
+/// `_runs` or `_iters`) fails on any change, and a baseline case missing
+/// from `current` fails as dropped. The printed ratio is always current ÷
+/// baseline. Cases only `current` holds are ignored, so snapshots may add
 /// cases freely across PRs. Returns the rendered table as `Ok` when every
-/// shared case is within tolerance and as `Err` when any regressed — the
-/// CI smoke gate on committed snapshots.
+/// baseline case is present and within its rule and as `Err` otherwise —
+/// the CI smoke gate on committed snapshots.
 ///
 /// # Errors
-/// Returns `Err` with the report when a shared case regressed, or with a
-/// parse message when either snapshot is malformed.
+/// Returns `Err` with the report when a case regressed, a counter
+/// changed or a case was dropped, or with a parse message when either
+/// snapshot is malformed.
 pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<String, String> {
     assert!(tolerance >= 1.0, "tolerance must be at least 1x");
     let base = parse_snapshot(baseline)?;
     let cur = parse_snapshot(current)?;
     let mut out = String::new();
-    let mut regressed = 0usize;
-    let mut compared = 0usize;
+    let (mut compared, mut regressed, mut changed, mut dropped) = (0usize, 0usize, 0usize, 0usize);
     let _ = writeln!(
         out,
         "{:<36} {:>12} {:>12} {:>8}  status",
@@ -642,9 +661,10 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
     );
     for (name, base_ns) in &base {
         let Some((_, cur_ns)) = cur.iter().find(|(n, _)| n == name) else {
+            dropped += 1;
             let _ = writeln!(
                 out,
-                "{name:<36} {base_ns:>12.1} {:>12} {:>8}  dropped",
+                "{name:<36} {base_ns:>12.1} {:>12} {:>8}  DROPPED",
                 "-", "-"
             );
             continue;
@@ -657,7 +677,14 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
         } else {
             ratio
         };
-        let status = if worse > tolerance {
+        let status = if exact_count(name) {
+            if cur_ns == base_ns {
+                "exact"
+            } else {
+                changed += 1;
+                "CHANGED"
+            }
+        } else if worse > tolerance {
             regressed += 1;
             "REGRESSED"
         } else if worse < 1.0 {
@@ -672,9 +699,10 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
     }
     let _ = writeln!(
         out,
-        "{compared} cases compared at tolerance {tolerance:.1}x; {regressed} regressed"
+        "{compared} cases compared at tolerance {tolerance:.1}x; {regressed} regressed, \
+         {changed} counters changed, {dropped} dropped"
     );
-    if regressed > 0 {
+    if regressed + changed + dropped > 0 {
         Err(out)
     } else {
         Ok(out)
@@ -733,7 +761,7 @@ mod tests {
     #[test]
     fn suite_runs_with_tiny_windows_and_serializes() {
         let cases = run_cases(Duration::from_millis(1), Duration::from_millis(2));
-        assert_eq!(cases.len(), 43);
+        assert_eq!(cases.len(), 44);
         for case in &cases {
             assert!(case.mean_ns > 0.0, "{}: {}", case.name, case.mean_ns);
         }
@@ -754,6 +782,7 @@ mod tests {
         assert!(json.contains("\"gk/ingest_batch_warm/10000\""));
         assert!(json.contains("\"gk/ingest_batch_warm_skewed/10000\""));
         assert!(json.contains("\"matrix/solve_to_gap_warm/12\""));
+        assert!(json.contains("\"matrix/fictitious_play/8\""));
         assert!(json.contains("\"equilibrium/estimate/ml_sketch_smoke\""));
         assert!(json.contains("\"equilibrium/double_oracle/scalar_smoke\""));
         assert!(json.contains("\"collector/sustained_rounds_per_sec\""));
@@ -764,7 +793,7 @@ mod tests {
 
     #[test]
     fn bench_diff_gates_on_tolerance() {
-        let baseline = "{\n  \"a/x\": 100.0,\n  \"a/y\": 200.0,\n  \"gone\": 50.0\n}\n";
+        let baseline = "{\n  \"a/x\": 100.0,\n  \"a/y\": 200.0\n}\n";
         // y regressed 2.5x, x improved; `extra` is new and ignored.
         let current = "{\n  \"a/x\": 80.0,\n  \"a/y\": 500.0,\n  \"extra\": 1.0\n}\n";
         let err = bench_diff(baseline, current, 2.0).expect_err("y regressed past 2x");
@@ -774,9 +803,45 @@ mod tests {
         let ok = bench_diff(baseline, current, 3.0).expect("within 3x");
         assert!(ok.contains("improved"));
         assert!(ok.contains("0 regressed"));
-        assert!(ok.contains("dropped"));
+        assert!(!ok.contains("extra"), "{ok}");
         // Malformed input is a parse error, not a panic.
         assert!(bench_diff("{}", current, 3.0).is_err());
+    }
+
+    #[test]
+    fn bench_diff_fails_on_a_dropped_case() {
+        let baseline = "{\n  \"a/x\": 100.0,\n  \"gone\": 50.0\n}\n";
+        let current = "{\n  \"a/x\": 100.0\n}\n";
+        let err = bench_diff(baseline, current, 3.0).expect_err("a baseline case is missing");
+        let line = err.lines().find(|l| l.starts_with("gone")).unwrap();
+        assert!(line.ends_with("DROPPED"), "{line}");
+        assert!(
+            err.contains("0 regressed, 0 counters changed, 1 dropped"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bench_diff_compares_counters_exactly() {
+        let baseline = "{\n  \"matrix/solve_to_gap_cold_iters/12\": 10240.0,\n  \"equilibrium/dense/scalar_full_runs\": 300.0\n}\n";
+        // Equal counters pass and are marked exact.
+        let ok = bench_diff(baseline, baseline, 3.0).expect("equal counters");
+        assert_eq!(ok.matches("  exact").count(), 2, "{ok}");
+        // A counter moving either way fails, however small the move and
+        // however loose the tolerance: it is a change of behaviour.
+        for (iters, runs) in [(10241.0, 300.0), (10240.0, 299.0), (5120.0, 300.0)] {
+            let current = format!(
+                "{{\n  \"matrix/solve_to_gap_cold_iters/12\": {iters:.1},\n  \"equilibrium/dense/scalar_full_runs\": {runs:.1}\n}}\n"
+            );
+            let err = bench_diff(baseline, &current, 3.0).expect_err("a counter changed");
+            assert!(err.contains("1 counters changed"), "{err}");
+            assert!(err.contains("CHANGED"), "{err}");
+        }
+        // Only a whole `/`-segment suffix marks a counter.
+        assert!(exact_count("matrix/solve_to_gap_warm_iters/12"));
+        assert!(exact_count("equilibrium/double_oracle/scalar_full_runs"));
+        assert!(!exact_count("engine/scalar_run_scratch/1000x20"));
+        assert!(!exact_count("runs_total_ns"));
     }
 
     #[test]
@@ -792,7 +857,7 @@ mod tests {
         assert!(line.ends_with("REGRESSED"), "{line}");
         assert!(err.contains("1 regressed"));
         // A 2x fall is within a 3x tolerance but is not an improvement.
-        let current = "{\n  \"collector/sustained_rounds_per_sec\": 15000.0\n}\n";
+        let current = "{\n  \"collector/sustained_rounds_per_sec\": 15000.0,\n  \"collector/round_ns\": 33000.0\n}\n";
         let ok = bench_diff(baseline, current, 3.0).expect("within 3x");
         assert!(!ok.contains("improved"), "{ok}");
         assert!(ok.contains("0 regressed"));

@@ -346,6 +346,33 @@ where
         .collect()
 }
 
+/// Runs two independent jobs and returns `(a(), b())`. When
+/// [`resolve_workers`]`(workers, 2)` allows two threads, `b` runs on a
+/// scoped thread while `a` runs on the calling one; otherwise `a` runs and
+/// then `b`, both on the calling thread. Like [`parallel_map`], the result
+/// never depends on `workers` as long as neither job depends on the other.
+///
+/// # Panics
+/// Re-raises a panic from either job, with its payload.
+pub fn join<A, B, RA, RB>(workers: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if resolve_workers(workers, 2) < 2 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let b = scope.spawn(b);
+        let ra = a();
+        let rb = b
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (ra, rb)
+    })
+}
+
 /// Runs every cell of the grid across `workers` scoped threads and
 /// returns the cells in grid order. `workers == 0` uses the machine's
 /// available parallelism. The result is identical to [`run_sequential`]
@@ -616,6 +643,70 @@ mod tests {
         let records = merged.records();
         assert_eq!(records.len(), venue.total_len());
         assert!(records.windows(2).all(|w| w[0].1.round <= w[1].1.round));
+    }
+
+    #[test]
+    fn join_returns_both_results_in_order() {
+        for workers in [0, 1, 2, 8] {
+            assert_eq!(
+                join(workers, || 1, || "two"),
+                (1, "two"),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn join_on_one_worker_runs_a_then_b_on_the_caller() {
+        let caller = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let record = |side| {
+            assert_eq!(std::thread::current().id(), caller);
+            log.lock().expect("log lock").push(side);
+        };
+        join(1, || record("a"), || record("b"));
+        assert_eq!(*log.lock().expect("log lock"), ["a", "b"]);
+    }
+
+    #[test]
+    fn join_on_two_workers_runs_both_at_once() {
+        // Each side hands the other a message and waits for the other's:
+        // run one after the other, the first side would time out.
+        let (to_b, from_a) = std::sync::mpsc::channel();
+        let (to_a, from_b) = std::sync::mpsc::channel();
+        let wait = std::time::Duration::from_secs(30);
+        let (a_heard, b_heard) = join(
+            2,
+            move || {
+                to_b.send(()).expect("b is alive");
+                from_b.recv_timeout(wait).is_ok()
+            },
+            move || {
+                to_a.send(()).expect("a is alive");
+                from_a.recv_timeout(wait).is_ok()
+            },
+        );
+        assert!(a_heard && b_heard);
+    }
+
+    #[test]
+    fn join_passes_on_a_panic_from_either_side() {
+        for workers in [1, 2] {
+            let left = std::panic::catch_unwind(|| join(workers, || panic!("left"), || 0));
+            let payload = left.expect_err("a panicked");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"left"),
+                "workers={workers}"
+            );
+            let right = std::panic::catch_unwind(|| join(workers, || 0, || panic!("right")));
+            let payload = right.expect_err("b panicked");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"right"),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl PayoffMatrix {
     }
 }
 
-/// A finite two-player zero-sum matrix game: `entries[i][j]` is the **row
+/// A finite two-player zero-sum matrix game: `at(i, j)` is the **row
 /// player's loss** (equivalently the column player's gain) when the row
 /// player plays `i` and the column player plays `j`. In the trimming
 /// game the row player is the defender (choosing a threshold atom,
@@ -190,7 +190,14 @@ impl PayoffMatrix {
 /// equilibria concentrate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixGame {
-    entries: Vec<Vec<f64>>,
+    rows: usize,
+    cols: usize,
+    /// The losses row-major: row `i` is `by_row[i * cols..(i + 1) * cols]`.
+    by_row: Vec<f64>,
+    /// The same losses column-major: column `j` is
+    /// `by_col[j * rows..(j + 1) * rows]`. Each fictitious-play step adds
+    /// one whole column and one whole row, so both are contiguous.
+    by_col: Vec<f64>,
 }
 
 /// An approximate mixed equilibrium of a [`MatrixGame`], with certified
@@ -253,33 +260,60 @@ impl MatrixGame {
                 }
             }
         }
-        Ok(Self { entries })
+        let (rows, cols) = (entries.len(), cols);
+        let by_row: Vec<f64> = entries.concat();
+        let by_col = (0..cols)
+            .flat_map(|j| by_row.iter().skip(j).step_by(cols).copied())
+            .collect();
+        Ok(Self {
+            rows,
+            cols,
+            by_row,
+            by_col,
+        })
     }
 
     /// Number of row strategies.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.entries.len()
+        self.rows
     }
 
     /// Number of column strategies.
     #[must_use]
     pub fn cols(&self) -> usize {
-        self.entries[0].len()
+        self.cols
     }
 
     /// The loss entry at `(row, col)`.
+    ///
+    /// # Panics
+    /// Panics if `row` or `col` is out of range.
     #[must_use]
     pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.entries[row][col]
+        assert!(
+            row < self.rows && col < self.cols,
+            "({row}, {col}) out of range"
+        );
+        self.by_row[row * self.cols + col]
+    }
+
+    /// Row `i`'s losses, one per column.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.by_row[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Column `j`'s losses, one per row.
+    fn col(&self, j: usize) -> &[f64] {
+        &self.by_col[j * self.rows..(j + 1) * self.rows]
     }
 
     /// The row player's expected loss under mixed strategies `x` (rows)
     /// and `y` (columns).
     #[must_use]
     pub fn expected_loss(&self, x: &[f64], y: &[f64]) -> f64 {
-        self.entries
-            .iter()
+        self.by_row
+            .chunks_exact(self.cols)
             .zip(x)
             .map(|(row, &xi)| xi * row.iter().zip(y).map(|(&v, &yj)| v * yj).sum::<f64>())
             .sum()
@@ -287,13 +321,13 @@ impl MatrixGame {
 
     /// The pure-commitment (unrandomized Stackelberg) value: the best loss
     /// the row player can guarantee with a single row,
-    /// `min_i max_j entries[i][j]`. The mixed value from
+    /// `min_i max_j at(i, j)`. The mixed value from
     /// [`MatrixGame::solve`] is never worse; the difference is the row
     /// player's randomization advantage.
     #[must_use]
     pub fn pure_commitment_value(&self) -> f64 {
-        self.entries
-            .iter()
+        self.by_row
+            .chunks_exact(self.cols)
             .map(|row| row.iter().copied().fold(f64::NEG_INFINITY, f64::max))
             .fold(f64::INFINITY, f64::min)
     }
@@ -362,21 +396,15 @@ impl MatrixGame {
         // about as much as the check itself.
         let block = (self.rows() + self.cols()).max(64);
         let mut spent = 0usize;
-        let mut eq = loop {
+        loop {
             let step = block.min(max_iterations - spent);
             fp.run(self, step);
             spent += step;
             let eq = fp.equilibrium(self);
             if eq.gap() <= gap || spent >= max_iterations {
-                break eq;
+                return (eq, spent);
             }
-        };
-        // Guard against a pathological averaged pair wobbling above the
-        // target at the cap: report whatever was certified.
-        if eq.gap().is_nan() {
-            eq = fp.equilibrium(self);
         }
-        (eq, spent)
     }
 
     fn start_fictitious_play(&self, warm: Option<&MixedEquilibrium>) -> FictitiousPlay {
@@ -402,26 +430,25 @@ impl MatrixGame {
             // resumes in the parent game's groove while the averaged
             // (certified) strategies contain real plays only, so a stale
             // prior cannot park a bias floor under the duality gap.
+            let weight = |prior: &[f64], k: usize| prior.get(k).copied().unwrap_or(0.0).max(0.0);
             for (i, cum) in fp.row_cum.iter_mut().enumerate() {
-                *cum = (0..m)
-                    .map(|j| {
-                        WARM_WEIGHT
-                            * prior.col_strategy.get(j).copied().unwrap_or(0.0).max(0.0)
-                            * self.entries[i][j]
-                    })
+                *cum = self
+                    .row(i)
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &v)| WARM_WEIGHT * weight(&prior.col_strategy, j) * v)
                     .sum();
             }
             for (j, cum) in fp.col_cum.iter_mut().enumerate() {
-                *cum = (0..n)
-                    .map(|i| {
-                        WARM_WEIGHT
-                            * prior.row_strategy.get(i).copied().unwrap_or(0.0).max(0.0)
-                            * self.entries[i][j]
-                    })
+                *cum = self
+                    .col(j)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| WARM_WEIGHT * weight(&prior.row_strategy, i) * v)
                     .sum();
             }
-            fp.row_play = argmin(&fp.row_cum);
-            fp.col_play = argmax(&fp.col_cum);
+            fp.row_play = pick(&fp.row_cum, less);
+            fp.col_play = pick(&fp.col_cum, greater);
         }
         fp
     }
@@ -446,39 +473,44 @@ struct FictitiousPlay {
 }
 
 impl FictitiousPlay {
+    /// Plays `iterations` rounds. Each round adds the played column to
+    /// every row's cumulative loss and the played row to every column's,
+    /// then both sides best-respond to the totals (ties to the lowest
+    /// index).
     fn run(&mut self, game: &MatrixGame, iterations: usize) {
+        let (mut row_play, mut col_play) = (self.row_play, self.col_play);
         for _ in 0..iterations {
-            self.row_counts[self.row_play] += 1.0;
-            self.col_counts[self.col_play] += 1.0;
-            for (i, cum) in self.row_cum.iter_mut().enumerate() {
-                *cum += game.entries[i][self.col_play];
-            }
-            for (j, cum) in self.col_cum.iter_mut().enumerate() {
-                *cum += game.entries[self.row_play][j];
-            }
-            self.row_play = argmin(&self.row_cum);
-            self.col_play = argmax(&self.col_cum);
+            self.row_counts[row_play] += 1.0;
+            self.col_counts[col_play] += 1.0;
+            let (col, row) = (game.col(col_play), game.row(row_play));
+            row_play = add_and_pick(&mut self.row_cum, col, less);
+            col_play = add_and_pick(&mut self.col_cum, row, greater);
         }
+        self.row_play = row_play;
+        self.col_play = col_play;
     }
 
     fn equilibrium(&self, game: &MatrixGame) -> MixedEquilibrium {
-        let (n, m) = (game.rows(), game.cols());
         let row_total: f64 = self.row_counts.iter().sum();
         let col_total: f64 = self.col_counts.iter().sum();
         let row_strategy: Vec<f64> = self.row_counts.iter().map(|c| c / row_total).collect();
         let col_strategy: Vec<f64> = self.col_counts.iter().map(|c| c / col_total).collect();
         // Certified bounds from the averaged strategies.
-        let upper = (0..m)
+        let upper = (0..game.cols())
             .map(|j| {
-                (0..n)
-                    .map(|i| row_strategy[i] * game.entries[i][j])
+                game.col(j)
+                    .iter()
+                    .zip(&row_strategy)
+                    .map(|(&v, &xi)| xi * v)
                     .sum::<f64>()
             })
             .fold(f64::NEG_INFINITY, f64::max);
-        let lower = (0..n)
+        let lower = (0..game.rows())
             .map(|i| {
-                (0..m)
-                    .map(|j| col_strategy[j] * game.entries[i][j])
+                game.row(i)
+                    .iter()
+                    .zip(&col_strategy)
+                    .map(|(&v, &yj)| yj * v)
                     .sum::<f64>()
             })
             .fold(f64::INFINITY, f64::min);
@@ -492,24 +524,47 @@ impl FictitiousPlay {
     }
 }
 
-fn argmin(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x < xs[best] {
-            best = i;
-        }
-    }
-    best
+fn less(a: f64, b: f64) -> bool {
+    a < b
 }
 
-fn argmax(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
-        }
+fn greater(a: f64, b: f64) -> bool {
+    a > b
+}
+
+/// Adds `add` into `cum` element-wise and returns the index of the best
+/// new total under the strict order `better`, ties to the lowest index.
+///
+/// The best value is tracked by a branch-free strict compare folded into
+/// the additions, so the totals are not read back for it; a second, short
+/// scan then finds the first total equal to it. That is the index a
+/// plain scan keeping the first strictly better entry returns, for every
+/// input: the fold starts from the first total, so a NaN there is kept
+/// (and matches nothing) exactly as the plain scan keeps index 0.
+fn add_and_pick(cum: &mut [f64], add: &[f64], better: impl Fn(f64, f64) -> bool) -> usize {
+    let (first, rest) = cum
+        .split_first_mut()
+        .expect("a game has a row and a column");
+    *first += add[0];
+    let mut best = *first;
+    for (c, &v) in rest.iter_mut().zip(&add[1..]) {
+        *c += v;
+        best = if better(*c, best) { *c } else { best };
     }
-    best
+    first_equal(cum, best)
+}
+
+/// The index of the best entry of `xs` under `better`, ties to the lowest
+/// index: [`add_and_pick`] without the additions.
+fn pick(xs: &[f64], better: impl Fn(f64, f64) -> bool) -> usize {
+    let best = xs[1..]
+        .iter()
+        .fold(xs[0], |best, &x| if better(x, best) { x } else { best });
+    first_equal(xs, best)
+}
+
+fn first_equal(xs: &[f64], value: f64) -> usize {
+    xs.iter().position(|&x| x == value).unwrap_or(0)
 }
 
 impl fmt::Display for PayoffMatrix {
@@ -730,5 +785,220 @@ mod tests {
         let prior = big.solve(1_000);
         let small = MatrixGame::new(vec![vec![1.0]]).unwrap();
         let _ = small.solve_warm(1_000, Some(&prior));
+    }
+
+    #[test]
+    fn at_rejects_an_out_of_range_column() {
+        let g = MatrixGame::new(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        assert_eq!(g.at(0, 1), 2.0);
+        let caught = std::panic::catch_unwind(|| g.at(0, 2));
+        assert!(caught.is_err(), "column 2 of a 2-column game");
+    }
+
+    /// The fictitious-play solver as it stood on `Vec<Vec<f64>>` rows,
+    /// kept verbatim as the reference the flat kernel must reproduce bit
+    /// for bit.
+    mod reference {
+        use super::super::{MixedEquilibrium, WARM_WEIGHT};
+
+        pub struct FictitiousPlay {
+            row_cum: Vec<f64>,
+            col_cum: Vec<f64>,
+            row_counts: Vec<f64>,
+            col_counts: Vec<f64>,
+            row_play: usize,
+            col_play: usize,
+        }
+
+        pub fn solve_warm(
+            entries: &[Vec<f64>],
+            iterations: usize,
+            warm: Option<&MixedEquilibrium>,
+        ) -> MixedEquilibrium {
+            let mut fp = start_fictitious_play(entries, warm);
+            fp.run(entries, iterations);
+            fp.equilibrium(entries)
+        }
+
+        pub fn solve_to_gap(
+            entries: &[Vec<f64>],
+            gap: f64,
+            max_iterations: usize,
+            warm: Option<&MixedEquilibrium>,
+        ) -> (MixedEquilibrium, usize) {
+            let mut fp = start_fictitious_play(entries, warm);
+            let block = (entries.len() + entries[0].len()).max(64);
+            let mut spent = 0usize;
+            let mut eq = loop {
+                let step = block.min(max_iterations - spent);
+                fp.run(entries, step);
+                spent += step;
+                let eq = fp.equilibrium(entries);
+                if eq.gap() <= gap || spent >= max_iterations {
+                    break eq;
+                }
+            };
+            if eq.gap().is_nan() {
+                eq = fp.equilibrium(entries);
+            }
+            (eq, spent)
+        }
+
+        fn start_fictitious_play(
+            entries: &[Vec<f64>],
+            warm: Option<&MixedEquilibrium>,
+        ) -> FictitiousPlay {
+            let (n, m) = (entries.len(), entries[0].len());
+            let mut fp = FictitiousPlay {
+                row_cum: vec![0.0; n],
+                col_cum: vec![0.0; m],
+                row_counts: vec![0.0; n],
+                col_counts: vec![0.0; m],
+                row_play: 0,
+                col_play: 0,
+            };
+            if let Some(prior) = warm {
+                for (i, cum) in fp.row_cum.iter_mut().enumerate() {
+                    *cum = (0..m)
+                        .map(|j| {
+                            WARM_WEIGHT
+                                * prior.col_strategy.get(j).copied().unwrap_or(0.0).max(0.0)
+                                * entries[i][j]
+                        })
+                        .sum();
+                }
+                for (j, cum) in fp.col_cum.iter_mut().enumerate() {
+                    *cum = (0..n)
+                        .map(|i| {
+                            WARM_WEIGHT
+                                * prior.row_strategy.get(i).copied().unwrap_or(0.0).max(0.0)
+                                * entries[i][j]
+                        })
+                        .sum();
+                }
+                fp.row_play = argmin(&fp.row_cum);
+                fp.col_play = argmax(&fp.col_cum);
+            }
+            fp
+        }
+
+        impl FictitiousPlay {
+            fn run(&mut self, entries: &[Vec<f64>], iterations: usize) {
+                for _ in 0..iterations {
+                    self.row_counts[self.row_play] += 1.0;
+                    self.col_counts[self.col_play] += 1.0;
+                    for (i, cum) in self.row_cum.iter_mut().enumerate() {
+                        *cum += entries[i][self.col_play];
+                    }
+                    for (j, cum) in self.col_cum.iter_mut().enumerate() {
+                        *cum += entries[self.row_play][j];
+                    }
+                    self.row_play = argmin(&self.row_cum);
+                    self.col_play = argmax(&self.col_cum);
+                }
+            }
+
+            fn equilibrium(&self, entries: &[Vec<f64>]) -> MixedEquilibrium {
+                let (n, m) = (entries.len(), entries[0].len());
+                let row_total: f64 = self.row_counts.iter().sum();
+                let col_total: f64 = self.col_counts.iter().sum();
+                let row_strategy: Vec<f64> =
+                    self.row_counts.iter().map(|c| c / row_total).collect();
+                let col_strategy: Vec<f64> =
+                    self.col_counts.iter().map(|c| c / col_total).collect();
+                let upper = (0..m)
+                    .map(|j| (0..n).map(|i| row_strategy[i] * entries[i][j]).sum::<f64>())
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let lower = (0..n)
+                    .map(|i| (0..m).map(|j| col_strategy[j] * entries[i][j]).sum::<f64>())
+                    .fold(f64::INFINITY, f64::min);
+                MixedEquilibrium {
+                    row_strategy,
+                    col_strategy,
+                    value: 0.5 * (lower + upper),
+                    lower,
+                    upper,
+                }
+            }
+        }
+
+        fn argmin(xs: &[f64]) -> usize {
+            let mut best = 0;
+            for (i, &x) in xs.iter().enumerate() {
+                if x < xs[best] {
+                    best = i;
+                }
+            }
+            best
+        }
+
+        fn argmax(xs: &[f64]) -> usize {
+            let mut best = 0;
+            for (i, &x) in xs.iter().enumerate() {
+                if x > xs[best] {
+                    best = i;
+                }
+            }
+            best
+        }
+    }
+
+    /// A small value set, so cumulative losses tie exactly and the
+    /// lowest-index tie rule is exercised.
+    const VALUES: [f64; 5] = [-1.0, 0.0, 0.25, 0.5, 1.0];
+
+    fn bits(eq: &MixedEquilibrium) -> (Vec<u64>, Vec<u64>, [u64; 3]) {
+        (
+            eq.row_strategy.iter().map(|w| w.to_bits()).collect(),
+            eq.col_strategy.iter().map(|w| w.to_bits()).collect(),
+            [eq.value.to_bits(), eq.lower.to_bits(), eq.upper.to_bits()],
+        )
+    }
+
+    /// Prior weights: negative ones (the warm seed clamps them) and an
+    /// infinite one, whose products with zero losses seed NaN totals, so
+    /// the kernel must also match the reference's scan on NaN.
+    const PRIOR_VALUES: [f64; 5] = [-1.0, 0.0, 0.25, 1.0, f64::INFINITY];
+
+    /// A prior of `len` weights drawn from [`PRIOR_VALUES`].
+    fn prior_weights(picks: &[usize], len: usize) -> Vec<f64> {
+        picks[..len].iter().map(|&k| PRIOR_VALUES[k]).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn flat_kernel_is_bit_identical_to_the_reference(
+            (n, m) in (1usize..=12, 1usize..=12),
+            picks in proptest::collection::vec(0usize..VALUES.len(), 144),
+            iterations in 1usize..5000,
+            warm in proptest::arbitrary::any::<bool>(),
+            (prior_n, prior_m) in (1usize..=12, 1usize..=12),
+            prior_picks in proptest::collection::vec(0usize..PRIOR_VALUES.len(), 24),
+            gap_pick in 0usize..3,
+        ) {
+            let entries: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..m).map(|j| VALUES[picks[i * m + j]]).collect())
+                .collect();
+            let game = MatrixGame::new(entries.clone()).unwrap();
+            let prior = MixedEquilibrium {
+                row_strategy: prior_weights(&prior_picks[..12], prior_n.min(n)),
+                col_strategy: prior_weights(&prior_picks[12..], prior_m.min(m)),
+                value: 0.0,
+                lower: 0.0,
+                upper: 0.0,
+            };
+            let warm = warm.then_some(&prior);
+
+            let flat = game.solve_warm(iterations, warm);
+            let reference = reference::solve_warm(&entries, iterations, warm);
+            proptest::prop_assert_eq!(bits(&flat), bits(&reference));
+
+            let gap = [0.0, 1e-3, 0.05][gap_pick];
+            let (flat, flat_spent) = game.solve_to_gap(gap, iterations, warm);
+            let (reference, reference_spent) =
+                reference::solve_to_gap(&entries, gap, iterations, warm);
+            proptest::prop_assert_eq!(flat_spent, reference_spent);
+            proptest::prop_assert_eq!(bits(&flat), bits(&reference));
+        }
     }
 }
