@@ -1,98 +1,47 @@
 //! `expt` — regenerate any table or figure from the paper.
 //!
 //! ```text
-//! USAGE: expt <experiment>... [--smoke] [--substrate scalar|ml|ldp]
-//!                              [--sketch[=EPS]] [--double-oracle] [--json]
-//!                              [--recover]
-//!        | all | tables | figures | ablations
-//!        | benchdiff <baseline.json> <current.json> [tolerance]
-//!
-//! experiments: table1 table2 fig4 fig5 fig6 fig7 fig8 table3 table4 fig9
-//!              ablate-k ablate-red ablate-discount ablate-mechanism ablate-sketch
-//!              sweep equilibrium collect bench
-//!
-//! flags: --smoke          tiny grids for pipeline checks (currently: equilibrium
-//!                         runs its 3x3 / 2-3-seed smoke game)
-//!        --substrate KIND equilibrium substrate: scalar (default), ml, ldp
-//!        --sketch[=EPS]   sketch-native defender: resolve trimming cuts from
-//!                         a GK quantile sketch (rank error EPS, default 0.02)
-//!                         and report equilibrium value vs epsilon
-//!        --double-oracle  equilibrium uses the best-response-oracle solver
-//!                         (small measured support grown by continuum best
-//!                         responses) instead of the dense payoff grid
-//!        --json           bench writes the BENCH_PR10.json snapshot
-//!        --recover        collect resumes from the spill manifests left under
-//!                         TRIMGAME_COLLECT_SPILL by an interrupted run, then
-//!                         proves the result bit-identical to an uninterrupted
-//!                         reference run
-//!
-//! collect runs the streaming collector service (sharded, batch-coalescing
-//! ingest) on the --substrate of choice and reports sustained rounds/sec,
-//! p99 ingest latency and the sharded-vs-single-stream ratio; --smoke
-//! shrinks it to CI scale and TRIMGAME_SWEEP_THREADS caps ingest threads.
-//!
-//! benchdiff compares two committed snapshots and exits 1 when a shared
-//! case regressed past the tolerance (default 3x) — the CI smoke gate.
-//!
-//! env: TRIMGAME_REPS=N           repetitions per point (default 10; paper 100)
-//!      TRIMGAME_SCALE=N          dataset instance divisor (default 64; paper 1)
-//!      TRIMGAME_SWEEP_THREADS=N  sweep worker count (default: all cores)
-//!      TRIMGAME_EQ_SEEDS=N       equilibrium seeds per payoff cell
-//!      TRIMGAME_EQ_SUBSTRATE=K  equilibrium substrate (same as --substrate)
-//!      TRIMGAME_EQ_SKETCH=EPS   sketch-native defender (same as --sketch)
-//!      TRIMGAME_EQ_ORACLE=1     double-oracle solver (same as --double-oracle)
-//!      TRIMGAME_COLLECT_SPILL=DIR  collect spills cold spans (and journals
-//!                               manifests) under DIR
-//!      TRIMGAME_FAULTS=SEED:RATE deterministic fault injection in collect
-//!      TRIMGAME_COLLECT_RECOVER=1  same as --recover
+//! USAGE: expt <experiment>... [flags]
+//!        expt benchdiff <baseline.json> <current.json> [tolerance]
 //! ```
+//!
+//! Run `expt` without arguments for the experiments and the flags
+//! (`--smoke`, `--substrate`, `--sketch[=EPS]`, `--double-oracle`,
+//! `--json`, `--recover`, `--threads`, `--reps`, `--scale`, `--seeds`,
+//! `--spill`, `--budget`, `--faults`), printed from the table that
+//! [`trimgame_bench::cli::ExptConfig::parse`] matches. A malformed
+//! argument prints the error and the usage and exits 2 before anything
+//! runs. `benchdiff` exits 1 when a case shared by two snapshots
+//! regressed past the tolerance (default 3x).
 
-use trimgame_bench::{run_experiment, EXPERIMENTS};
+use trimgame_bench::cli::{usage, ExptConfig};
+use trimgame_bench::run_experiment;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: expt <experiment>... [--smoke] [--substrate scalar|ml|ldp] \
-         [--sketch[=EPS]] [--json] | all | tables | figures | ablations"
-    );
-    eprintln!("experiments: {}", EXPERIMENTS.join(" "));
-    eprintln!(
-        "env: TRIMGAME_REPS (default 10), TRIMGAME_SCALE (default 64), \
-         TRIMGAME_SWEEP_THREADS, TRIMGAME_EQ_SEEDS, TRIMGAME_EQ_SUBSTRATE"
-    );
+/// Prints `err` and the usage text, then exits 2.
+fn die(err: &str) -> ! {
+    eprintln!("expt: {err}");
+    eprint!("{}", usage());
     std::process::exit(2);
-}
-
-fn set_substrate(value: &str) {
-    match value {
-        "scalar" | "ml" | "ldp" => std::env::set_var("TRIMGAME_EQ_SUBSTRATE", value),
-        unknown => {
-            eprintln!("unknown substrate: {unknown} (expected scalar|ml|ldp)");
-            usage();
-        }
-    }
 }
 
 /// `expt benchdiff <baseline.json> <current.json> [tolerance]`: compare
 /// two committed bench snapshots; exit 1 when a shared case regressed
 /// past the tolerance (default 3x, the CI smoke gate).
 fn benchdiff(args: &[String]) -> ! {
-    let (Some(base_path), Some(cur_path)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: expt benchdiff <baseline.json> <current.json> [tolerance]");
-        std::process::exit(2);
+    let (base, cur, tolerance) = match args {
+        [base, cur] => (base, cur, 3.0),
+        [base, cur, t] => (
+            base,
+            cur,
+            t.parse()
+                .unwrap_or_else(|_| die(&format!("benchdiff: tolerance {t:?} is not a number"))),
+        ),
+        _ => die("benchdiff needs <baseline.json> <current.json> [tolerance]"),
     };
-    let tolerance = args
-        .get(2)
-        .map(|t| t.parse::<f64>().expect("tolerance must be a number"))
-        .unwrap_or(3.0);
     let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        })
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
     };
-    let baseline = read(base_path);
-    let current = read(cur_path);
-    match trimgame_bench::perf::bench_diff(&baseline, &current, tolerance) {
+    match trimgame_bench::perf::bench_diff(&read(base), &read(cur), tolerance) {
         Ok(report) => {
             print!("{report}");
             std::process::exit(0);
@@ -107,64 +56,16 @@ fn benchdiff(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    if args[0] == "benchdiff" {
+    if args.first().is_some_and(|a| a == "benchdiff") {
         benchdiff(&args[1..]);
     }
-    let mut ids: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            // The smoke flag shrinks grid-based experiments to pipeline
-            // scale; experiments read it through their from_env configs.
-            "--smoke" => std::env::set_var("TRIMGAME_EQ_SMOKE", "1"),
-            // The bench snapshot flag; perf::bench_report reads it.
-            "--json" => std::env::set_var("TRIMGAME_BENCH_JSON", "1"),
-            "--substrate" => match iter.next() {
-                Some(value) => set_substrate(value),
-                None => {
-                    eprintln!("--substrate needs a value (scalar|ml|ldp)");
-                    usage();
-                }
-            },
-            flag if flag.starts_with("--substrate=") => {
-                set_substrate(&flag["--substrate=".len()..]);
-            }
-            // Sketch-native defender; equilibrium reads it via
-            // EquilibriumConfig::from_env_for.
-            "--sketch" => std::env::set_var("TRIMGAME_EQ_SKETCH", "1"),
-            flag if flag.starts_with("--sketch=") => {
-                std::env::set_var("TRIMGAME_EQ_SKETCH", &flag["--sketch=".len()..]);
-            }
-            // Double-oracle solver; equilibrium_report_from_env branches
-            // on it.
-            "--double-oracle" => std::env::set_var("TRIMGAME_EQ_ORACLE", "1"),
-            "--recover" => std::env::set_var("TRIMGAME_COLLECT_RECOVER", "1"),
-            "all" => ids.extend(EXPERIMENTS),
-            "tables" => ids.extend(["table1", "table2", "table3", "table4"]),
-            "figures" => ids.extend(["fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]),
-            "ablations" => ids.extend(EXPERIMENTS.iter().filter(|e| e.starts_with("ablate"))),
-            id if EXPERIMENTS.contains(&id) => {
-                ids.push(EXPERIMENTS.iter().find(|e| **e == id).expect("validated"))
-            }
-            unknown => {
-                eprintln!("unknown experiment: {unknown}");
-                usage();
-            }
-        }
-    }
-    if ids.is_empty() {
-        // Flags alone (e.g. `expt --smoke`) select no experiment.
-        usage();
-    }
+    let (ids, cfg) = ExptConfig::parse(args).unwrap_or_else(|err| die(&err));
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {
             println!();
         }
         let start = std::time::Instant::now();
-        print!("{}", run_experiment(id));
+        print!("{}", run_experiment(id, &cfg));
         eprintln!("[{id} done in {:.1}s]", start.elapsed().as_secs_f64());
     }
 }

@@ -103,7 +103,7 @@ pub struct CollectorConfig {
     pub tier: Option<TierConfig>,
     /// Deterministic fault injection (producer stalls/disconnects, spill
     /// write errors and tears, read bit-flips). `None` runs fault-free;
-    /// `expt collect` wires `TRIMGAME_FAULTS=<seed:rate>` in here.
+    /// `expt collect --faults <seed:rate>` wires in here.
     pub faults: Option<FaultSpec>,
     /// Master seed; every stream derives its own producer and engine
     /// seeds from it.
@@ -756,63 +756,49 @@ pub fn ml_stream_setup<'d>(
     }
 }
 
-/// `expt collect`: runs the collector service on the substrate named by
-/// `TRIMGAME_EQ_SUBSTRATE` (default scalar) and reports sustained
-/// throughput, tail ingest latency, coalescing/backpressure counters
-/// and the sharded-vs-single-stream ratio. `TRIMGAME_EQ_SMOKE=1`
-/// shrinks the run for CI; `TRIMGAME_SWEEP_THREADS` caps the ingest
-/// thread count (0/unset = one thread per stream).
+/// `expt collect`: runs the collector service on `expt.substrate` and
+/// reports sustained throughput, tail ingest latency,
+/// coalescing/backpressure counters and the sharded-vs-single-stream
+/// ratio. `expt.smoke` shrinks the run for CI; `expt.threads` caps the
+/// ingest thread count (0 = one thread per stream).
 ///
 /// # Panics
-/// Panics on an unknown substrate name.
+/// Panics under `expt.recover` without a spill directory, or when the
+/// recovery finds no manifests or the resumed run diverges.
 #[must_use]
-pub fn collect_report() -> String {
-    use crate::empirical::SubstrateKind;
+pub fn collect_report(expt: &crate::ExptConfig) -> String {
     use std::fmt::Write as _;
 
-    let kind = match std::env::var("TRIMGAME_EQ_SUBSTRATE") {
-        Ok(name) => SubstrateKind::parse(&name)
-            .unwrap_or_else(|| panic!("unknown substrate {name:?} (expected scalar|ml|ldp)")),
-        Err(_) => SubstrateKind::Scalar,
-    };
-    let smoke = std::env::var("TRIMGAME_EQ_SMOKE")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    let threads = crate::sweep::env_workers();
-    // Tiering is always on for the report run; `TRIMGAME_COLLECT_BUDGET`
-    // (resident bytes for cold spans) and `TRIMGAME_COLLECT_SPILL` (a
-    // directory for evicted frames) tighten it for bounded-memory runs.
-    // The sharded run and the single-stream baseline spill into separate
-    // subdirectories — their shard tags would otherwise collide.
-    let spill_root = std::env::var("TRIMGAME_COLLECT_SPILL")
-        .ok()
-        .map(std::path::PathBuf::from);
+    let kind = expt.substrate;
+    // Tiering is always on for the report run; `--budget` (resident
+    // bytes for cold spans) and `--spill` (a directory for evicted
+    // frames) tighten it for bounded-memory runs. The sharded run and
+    // the single-stream baseline spill into separate subdirectories —
+    // their shard tags would otherwise collide.
+    let spill_root = expt.spill.as_ref();
     let tier = TierConfig {
-        resident_budget: std::env::var("TRIMGAME_COLLECT_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok()),
-        spill_dir: spill_root.as_ref().map(|p| p.join("sharded")),
+        resident_budget: expt.budget,
+        spill_dir: spill_root.map(|p| p.join("sharded")),
         ..TierConfig::default()
     };
     let cfg = CollectorConfig {
         streams: 8,
-        threads,
-        rounds: if smoke { 40 } else { 400 },
+        threads: expt.threads,
+        rounds: if expt.smoke { 40 } else { 400 },
         // Smoke runs are short; shrink the span so they still seal cold
         // spans and exercise the compact → evict → inflate path.
-        round_span: if smoke { 8 } else { 64 },
+        round_span: if expt.smoke { 8 } else { 64 },
         tier: Some(tier),
-        // Chaos runs: TRIMGAME_FAULTS=<seed:rate> injects the seeded
-        // fault schedule into the sharded run (the baseline and the
-        // recovery reference stay clean).
-        faults: FaultSpec::from_env(),
+        // Chaos runs: `--faults <seed:rate>` injects the seeded fault
+        // schedule into the sharded run (the baseline and the recovery
+        // reference stay clean).
+        faults: expt.faults,
         ..CollectorConfig::default()
     };
 
-    if std::env::var("TRIMGAME_COLLECT_RECOVER").is_ok_and(|v| v == "1") {
+    if expt.recover {
         let dir = spill_root
-            .as_ref()
-            .expect("TRIMGAME_COLLECT_RECOVER needs TRIMGAME_COLLECT_SPILL")
+            .expect("ExptConfig::parse rejects --recover without --spill")
             .join("sharded");
         return recover_report(kind, &cfg, &dir);
     }
@@ -825,7 +811,7 @@ pub fn collect_report() -> String {
         threads: 1,
         rounds: cfg.rounds * cfg.streams,
         tier: Some(TierConfig {
-            spill_dir: spill_root.as_ref().map(|p| p.join("single")),
+            spill_dir: spill_root.map(|p| p.join("single")),
             ..cfg.tier.clone().expect("report always tiers")
         }),
         faults: None,
@@ -943,7 +929,7 @@ pub fn collect_report() -> String {
     let _ = writeln!(
         out,
         "  determinism: fixed seed + fixed coalescing boundaries are bit-identical \
-         across ingest thread counts (TRIMGAME_SWEEP_THREADS 1..=8)",
+         across ingest thread counts (--threads 1..=8)",
     );
     out
 }
@@ -1141,8 +1127,8 @@ mod tests {
     #[test]
     fn collector_output_is_bit_identical_across_thread_counts() {
         // The acceptance contract: same seed, same coalescing
-        // boundaries → identical outputs for TRIMGAME_SWEEP_THREADS-
-        // style thread counts 1 and 8 (8 > streams exercises the cap).
+        // boundaries → identical outputs for `--threads`-style thread
+        // counts 1 and 8 (8 > streams exercises the cap).
         let pool = standard_pool();
         let run = |threads: usize| {
             let cfg = CollectorConfig {

@@ -33,8 +33,8 @@
 //!
 //! Every step — golden-section probes, placement refinement, cell
 //! measurement, fictitious play — is deterministic given the
-//! configuration, so the whole solve is bit-identical for any
-//! `TRIMGAME_SWEEP_THREADS`.
+//! configuration, so the whole solve is bit-identical for any worker
+//! count.
 
 use crate::empirical::{
     measure_cells, standard_substrate, ClosedForm, EquilibriumConfig, GameSubstrate, SubstrateKind,

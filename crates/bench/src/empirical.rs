@@ -49,10 +49,10 @@
 //!    strictly improve the solved game value.
 //!
 //! Every cell's outcome depends only on its grid coordinates and derived
-//! seed, so the whole pipeline is bit-deterministic regardless of
-//! `TRIMGAME_SWEEP_THREADS`.
+//! seed, so the whole pipeline is bit-deterministic regardless of the
+//! worker count (`expt --threads`).
 
-use crate::sweep::{env_workers, join, parallel_map_with};
+use crate::sweep::{join, parallel_map_with};
 use rand::rngs::StdRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -198,40 +198,6 @@ impl EquilibriumConfig {
         }
     }
 
-    /// Reads the CLI environment: `TRIMGAME_EQ_SMOKE=1` selects the smoke
-    /// grid, `TRIMGAME_EQ_SEEDS=N` overrides the per-cell repetitions,
-    /// `TRIMGAME_EQ_SKETCH` turns on the sketch-native defender (`1` for
-    /// the default rank error, or the ε itself, e.g. `0.02`), and
-    /// `TRIMGAME_SWEEP_THREADS` sets the worker count.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_env_for(SubstrateKind::Scalar)
-    }
-
-    /// [`EquilibriumConfig::from_env`], anchored to `kind`'s grids.
-    #[must_use]
-    pub fn from_env_for(kind: SubstrateKind) -> Self {
-        let smoke = std::env::var("TRIMGAME_EQ_SMOKE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        let mut cfg = if smoke {
-            Self::smoke_for(kind)
-        } else {
-            Self::default_for(kind)
-        };
-        if let Some(seeds) = std::env::var("TRIMGAME_EQ_SEEDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.seeds = seeds.max(2);
-        }
-        if let Some(eps) = sketch_epsilon_from_env() {
-            cfg.sketch_epsilon = Some(eps);
-        }
-        cfg.workers = env_workers();
-        cfg
-    }
-
     /// The attacker's response atoms: just below each defender atom.
     #[must_use]
     pub fn attacker_atoms(&self) -> Vec<f64> {
@@ -266,25 +232,8 @@ impl EquilibriumConfig {
     }
 }
 
-/// `TRIMGAME_EQ_SKETCH`: unset/`0` keeps exact cuts, `1`/`true` enables
-/// the sketch-native defender at the default rank error, and a float in
-/// `(0, 0.5)` sets ε directly.
-fn sketch_epsilon_from_env() -> Option<f64> {
-    let raw = std::env::var("TRIMGAME_EQ_SKETCH").ok()?;
-    if raw == "0" || raw.is_empty() || raw.eq_ignore_ascii_case("false") {
-        return None;
-    }
-    if raw == "1" || raw.eq_ignore_ascii_case("true") {
-        return Some(DEFAULT_SKETCH_EPSILON);
-    }
-    match raw.parse::<f64>() {
-        Ok(eps) if eps > 0.0 && eps < 0.5 => Some(eps),
-        _ => panic!("TRIMGAME_EQ_SKETCH must be 1/true or an ε in (0, 0.5), got {raw:?}"),
-    }
-}
-
 /// Rank error used when the sketch-native defender is enabled without an
-/// explicit ε (`TRIMGAME_EQ_SKETCH=1`).
+/// explicit ε (a bare `--sketch`).
 pub const DEFAULT_SKETCH_EPSILON: f64 = 0.02;
 
 /// Which simulation substrate the equilibrium pipeline runs on.
@@ -312,17 +261,6 @@ impl SubstrateKind {
             SubstrateKind::Scalar => "scalar",
             SubstrateKind::Ml => "ml",
             SubstrateKind::Ldp => "ldp",
-        }
-    }
-
-    /// Parses a CLI/env name.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(SubstrateKind::Scalar),
-            "ml" => Some(SubstrateKind::Ml),
-            "ldp" => Some(SubstrateKind::Ldp),
-            _ => None,
         }
     }
 }
@@ -1490,39 +1428,28 @@ pub fn optimize_support(
     }
 }
 
-/// The `expt equilibrium` experiment report on the scalar substrate (the
-/// PR 3 entry point).
+/// The `expt equilibrium` experiment report: `cfg.substrate`'s smoke or
+/// full grid, with the seeds, sketch ε and worker count `cfg` sets, solved
+/// by the dense grid or (with `cfg.double_oracle`) the best-response
+/// oracle.
 ///
 /// # Panics
 /// Panics on a degenerate configuration.
 #[must_use]
-pub fn equilibrium_report(cfg: &EquilibriumConfig) -> String {
-    equilibrium_report_for(SubstrateKind::Scalar, cfg)
-}
-
-/// The `expt equilibrium` experiment report, reading the substrate and
-/// grid scale from the environment (`TRIMGAME_EQ_SUBSTRATE`,
-/// `TRIMGAME_EQ_SMOKE`, `TRIMGAME_EQ_SEEDS`, `TRIMGAME_SWEEP_THREADS`).
-///
-/// # Panics
-/// Panics on an unknown substrate name.
-#[must_use]
-pub fn equilibrium_report_from_env() -> String {
-    let kind = match std::env::var("TRIMGAME_EQ_SUBSTRATE") {
-        Ok(name) => SubstrateKind::parse(&name)
-            .unwrap_or_else(|| panic!("unknown substrate {name:?} (expected scalar|ml|ldp)")),
-        Err(_) => SubstrateKind::Scalar,
-    };
-    let cfg = EquilibriumConfig::from_env_for(kind);
-    // `TRIMGAME_EQ_ORACLE=1` (the `--double-oracle` flag) swaps the dense
-    // grid for the best-response-oracle solver.
-    let oracle = std::env::var("TRIMGAME_EQ_ORACLE")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    if oracle {
-        crate::double_oracle::double_oracle_report_for(kind, &cfg)
+pub fn equilibrium_report(cfg: &crate::ExptConfig) -> String {
+    let kind = cfg.substrate;
+    let mut eq = if cfg.smoke {
+        EquilibriumConfig::smoke_for(kind)
     } else {
-        equilibrium_report_for(kind, &cfg)
+        EquilibriumConfig::default_for(kind)
+    };
+    eq.seeds = cfg.seeds.unwrap_or(eq.seeds);
+    eq.sketch_epsilon = cfg.sketch_epsilon;
+    eq.workers = cfg.threads;
+    if cfg.double_oracle {
+        crate::double_oracle::double_oracle_report_for(kind, &eq)
+    } else {
+        equilibrium_report_for(kind, &eq)
     }
 }
 
@@ -1874,8 +1801,8 @@ mod tests {
     #[test]
     fn report_renders_and_is_deterministic() {
         let cfg = tiny();
-        let a = equilibrium_report(&cfg);
-        let b = equilibrium_report(&cfg);
+        let a = equilibrium_report_for(SubstrateKind::Scalar, &cfg);
+        let b = equilibrium_report_for(SubstrateKind::Scalar, &cfg);
         assert_eq!(a, b);
         assert!(a.contains("empirical equilibrium"));
         assert!(a.contains("AdaptiveAttacker"));

@@ -3,19 +3,19 @@
 //!
 //! Each experiment is a pure function returning a formatted report, so the
 //! CLI (`src/bin/expt.rs`), the criterion benches and the tests all share
-//! one implementation. Scaling knobs:
-//!
-//! * `TRIMGAME_REPS` — repetitions per point (default 10; paper used 100);
-//! * `TRIMGAME_SCALE` — instance divisor for the large datasets
-//!   (default 64; 1 = full Table II sizes).
+//! one implementation. Run settings arrive as one [`ExptConfig`], parsed
+//! from the command line by [`cli`]; no experiment reads the environment.
 
 pub mod ablations;
+pub mod cli;
 pub mod collector;
 pub mod double_oracle;
 pub mod empirical;
 pub mod experiments;
 pub mod perf;
 pub mod sweep;
+
+pub use cli::ExptConfig;
 
 /// All experiment ids accepted by the `expt` binary, in paper order.
 pub const EXPERIMENTS: [&str; 19] = [
@@ -40,32 +40,32 @@ pub const EXPERIMENTS: [&str; 19] = [
     "bench",
 ];
 
-/// Runs one experiment by id, returning its report.
+/// Runs one experiment by id under `cfg`, returning its report.
 ///
 /// # Panics
 /// Panics on an unknown id (the CLI validates first).
 #[must_use]
-pub fn run_experiment(id: &str) -> String {
+pub fn run_experiment(id: &str, cfg: &ExptConfig) -> String {
     match id {
         "table1" => experiments::table1(),
-        "table2" => experiments::table2(),
-        "fig4" => experiments::fig45(0.90),
-        "fig5" => experiments::fig45(0.97),
-        "fig6" => experiments::fig6(),
-        "fig7" => experiments::fig7(),
-        "fig8" => experiments::fig8(),
-        "table3" => experiments::table3(),
+        "table2" => experiments::table2(cfg),
+        "fig4" => experiments::fig45(0.90, cfg),
+        "fig5" => experiments::fig45(0.97, cfg),
+        "fig6" => experiments::fig6(cfg),
+        "fig7" => experiments::fig7(cfg),
+        "fig8" => experiments::fig8(cfg),
+        "table3" => experiments::table3(cfg),
         "table4" => experiments::table4(),
-        "fig9" => experiments::fig9(),
+        "fig9" => experiments::fig9(cfg),
         "ablate-k" => ablations::ablate_k(),
-        "ablate-red" => ablations::ablate_red(),
+        "ablate-red" => ablations::ablate_red(cfg),
         "ablate-discount" => ablations::ablate_discount(),
-        "ablate-mechanism" => ablations::ablate_mechanism(),
+        "ablate-mechanism" => ablations::ablate_mechanism(cfg),
         "ablate-sketch" => ablations::ablate_sketch(),
-        "sweep" => sweep::sweep_report(),
-        "equilibrium" => empirical::equilibrium_report_from_env(),
-        "collect" => collector::collect_report(),
-        "bench" => perf::bench_report(),
+        "sweep" => sweep::sweep_report(cfg.threads),
+        "equilibrium" => empirical::equilibrium_report(cfg),
+        "collect" => collector::collect_report(cfg),
+        "bench" => perf::bench_report(cfg),
         other => panic!("unknown experiment id: {other}"),
     }
 }
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn cheap_experiments_produce_reports() {
         for id in ["table1", "table2", "table4", "ablate-discount", "ablate-k"] {
-            let report = run_experiment(id);
+            let report = run_experiment(id, &ExptConfig::default());
             assert!(!report.is_empty(), "{id} produced an empty report");
         }
     }
@@ -85,7 +85,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_id_panics() {
-        let _ = run_experiment("fig99");
+        let _ = run_experiment("fig99", &ExptConfig::default());
     }
 
     #[test]

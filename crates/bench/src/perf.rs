@@ -8,8 +8,9 @@
 //!
 //! Measurement mirrors the vendored criterion harness (warm-up window,
 //! calibrated batches, mean over a measurement window) but returns the
-//! numbers instead of printing them. Windows honor
-//! `TRIMGAME_BENCH_WARMUP_MS` / `TRIMGAME_BENCH_MEASURE_MS`; numbers are
+//! numbers instead of printing them. Windows come from
+//! `TRIMGAME_BENCH_WARMUP_MS` / `TRIMGAME_BENCH_MEASURE_MS` (read once by
+//! [`crate::cli`], the same names the criterion benches read); numbers are
 //! indicative, meant for tracking order-of-magnitude movement between
 //! commits on the same machine.
 
@@ -709,22 +710,12 @@ pub fn bench_diff(baseline: &str, current: &str, tolerance: f64) -> Result<Strin
     }
 }
 
-fn env_millis(var: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(default_ms),
-    )
-}
-
-/// The `expt bench` experiment: measure the suite and render a table.
-/// With `TRIMGAME_BENCH_JSON=1` (the CLI's `--json`), also write the
-/// [`SNAPSHOT_FILE`] snapshot to the working directory.
+/// The `expt bench` experiment: measure the suite over `cfg`'s bench
+/// windows and render a table. With `cfg.json` (the CLI's `--json`),
+/// also write the [`SNAPSHOT_FILE`] snapshot to the working directory.
 #[must_use]
-pub fn bench_report() -> String {
-    let warmup = env_millis("TRIMGAME_BENCH_WARMUP_MS", 50);
-    let measure = env_millis("TRIMGAME_BENCH_MEASURE_MS", 250);
+pub fn bench_report(cfg: &crate::ExptConfig) -> String {
+    let (warmup, measure) = (cfg.bench_warmup, cfg.bench_measure);
     let mut cases = run_cases(warmup, measure);
     cases.extend(headline_cases(warmup, measure));
     let mut out = String::new();
@@ -738,10 +729,7 @@ pub fn bench_report() -> String {
     for case in &cases {
         let _ = writeln!(out, "{:<32} {:>12.1} ns/iter", case.name, case.mean_ns);
     }
-    let json_requested = std::env::var("TRIMGAME_BENCH_JSON")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false);
-    if json_requested {
+    if cfg.json {
         match std::fs::write(SNAPSHOT_FILE, to_json(&cases)) {
             Ok(()) => {
                 let _ = writeln!(out, "snapshot written to {SNAPSHOT_FILE}");
